@@ -16,7 +16,8 @@ Two phase kinds:
   it.  Each record keeps the timer's lateness (``lag``) and the wait for a
   connection (``conn_wait``).
 * :meth:`Client.closed_loop` -- every connection sends its lane's next
-  request as soon as the previous answer arrives (peak throughput).
+  request as soon as the previous answer arrives, until a fixed number
+  has been sent (peak throughput).
 
 Nothing here opens a connection beyond the fixed set: a connection that
 fails is closed before its replacement is opened.
@@ -30,6 +31,9 @@ import selectors
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+#: The least time (s) to the next due request for an idle call to be made.
+IDLE_GAP_S = 0.03
 
 _HEAD = ("POST /v1/request HTTP/1.1\r\nHost: bench\r\n"
          "Content-Type: application/json\r\nContent-Length: %d\r\n\r\n")
@@ -140,6 +144,10 @@ class Client:
         self.host, self.port, self.timeout = host, port, timeout
         self.open_now = self.max_open = 0
         self.connections = [Connection(self) for _ in range(connections)]
+        #: Requests due (or sent) and not yet answered.
+        self.outstanding = 0
+        self._idle: Optional[Callable[[], None]] = None
+        self._next_due = float("-inf")
 
     def _groups(self, lanes: Sequence[str]) -> Dict[str, List[Connection]]:
         if len(self.connections) == 1 or "write" not in lanes:
@@ -158,13 +166,20 @@ class Client:
             record.error = "%s: %s" % (type(exc).__name__, exc)
             await connection.close()
         record.done = time.monotonic()
+        self.outstanding -= 1
+        if (self._idle is not None and not self.outstanding
+                and self._next_due - record.done > IDLE_GAP_S):
+            self._idle()
 
     async def open_loop(self, schedule: Sequence[Tuple[float, str, dict, bytes]],
-                        phase: str, start: float) -> List[Record]:
+                        phase: str, start: float,
+                        idle: Optional[Callable[[], None]] = None) -> List[Record]:
         """Fire ``(offset, lane, request, body)`` entries at ``start + offset``.
 
         Returns one record per request, in schedule order, after every
-        request has been answered or has timed out.
+        request has been answered or has timed out.  ``idle`` is called
+        whenever the last outstanding request is answered and the next one
+        is due more than ``IDLE_GAP_S`` later: it may block for a while.
         """
         groups = self._groups(sorted({lane for _, lane, _, _ in schedule}))
         queues: Dict[int, Tuple[asyncio.Queue, int]] = {}
@@ -179,15 +194,20 @@ class Client:
                             for c in connections]
             lane_queue[lane] = queues[key][0]
         records: List[Record] = []
-        for offset, lane, request, body in schedule:
-            due = start + offset
-            delay = due - time.monotonic()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            record = Record(lane=lane, request=request, phase=phase, due=due,
-                            woke=time.monotonic())
-            records.append(record)
-            lane_queue[lane].put_nowait((body, record))
+        self._idle = idle
+        try:
+            for offset, lane, request, body in schedule:
+                due = self._next_due = start + offset
+                delay = due - time.monotonic()
+                if delay > 0:
+                    await asyncio.sleep(delay)
+                record = Record(lane=lane, request=request, phase=phase, due=due,
+                                woke=time.monotonic())
+                records.append(record)
+                self.outstanding += 1
+                lane_queue[lane].put_nowait((body, record))
+        finally:
+            self._idle, self._next_due = None, float("-inf")
         for queue, drainers in queues.values():
             for _ in range(drainers):
                 queue.put_nowait(None)
@@ -203,13 +223,12 @@ class Client:
             await self._send(connection, body, record)
 
     async def closed_loop(self, sources: Dict[str, Callable[[], Tuple[dict, bytes]]],
-                          phase: str, duration: float) -> List[Record]:
-        """Keep every connection busy for ``duration`` seconds: each sends
-        its lane's next ``(request, body)`` as soon as its previous answer
-        is in.
+                          phase: str, count: int) -> List[Record]:
+        """Keep every connection busy until ``count`` requests have been
+        sent: each sends its lane's next ``(request, body)`` as soon as its
+        previous answer is in.
         """
         records: List[Record] = []
-        end = time.monotonic() + duration
         groups = self._groups(sorted(sources))
         lanes = {}
         for lane, connections in groups.items():
@@ -218,7 +237,7 @@ class Client:
 
         async def drive(connection: Connection, lane_names: List[str]) -> None:
             turn = 0
-            while time.monotonic() < end:
+            while len(records) < count:
                 lane = lane_names[turn % len(lane_names)]
                 turn += 1
                 request, body = sources[lane]()
@@ -226,6 +245,7 @@ class Client:
                 record = Record(lane=lane, request=request, phase=phase,
                                 due=now, woke=now)
                 records.append(record)
+                self.outstanding += 1
                 await self._send(connection, body, record)
 
         await asyncio.gather(*(drive(c, names) for c, names in lanes.values()))

@@ -5,6 +5,11 @@ lists (``tests/test_contract.py`` keeps the two in step).  Each per-layer
 row also names the end-to-end metric it should move and the workloads where
 it is heavy or should stay flat -- the predictions a change to that layer
 is judged against.
+
+End-to-end times and rates are given at the reference host speed
+(:data:`REFERENCE_S`): each round's figures are scaled by the slowdown the
+reference samples measured around it (see ``run.py``).  Per-layer metrics
+are raw, except ``trace.overhead``, a ratio of two scaled medians.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import statistics
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from loadgen import Record
 
@@ -139,12 +144,13 @@ def failed_share(records: Sequence[Record]) -> float:
 
 @dataclass
 class Phase:
-    """One measured phase: its records and how long it ran."""
+    """One measured phase of one round: its records and how long it ran."""
 
     name: str
     rate: float           #: nominal offered rate of the read lane (0: closed)
     duration: float
     records: List[Record]
+    round: int = 0
 
     @property
     def reads(self) -> List[Record]:
@@ -174,53 +180,104 @@ def outstanding_at_end(records: Sequence[Record]) -> int:
     return sum(1 for r in records if r.due <= last < r.done)
 
 
-#: Width (s) of the windows whose completion rates ``peak_rate`` takes the
-#: median of.
-PEAK_WINDOW = 0.5
+#: The reference computation's time (s) on an uncontended CPU: a 2.0 GHz
+#: Xeon VM, Python 3.11.  Time metrics are scaled to this host speed.
+REFERENCE_S = 0.004
+#: Reference samples this close (s) to an interval count towards its speed.
+REFERENCE_MARGIN = 0.1
 
 
-def peak_rate(peak: Phase) -> float:
-    """Answered requests per second in the closed loop: the median over
-    half-second windows, so a brief stall of a shared machine moves one
-    window, not the figure."""
+def slowdown(reference: Sequence[Tuple[float, int, float]], start: float,
+             end: float) -> float:
+    """How many times slower than :data:`REFERENCE_S` the host ran from
+    ``start`` to ``end``: the mean reference time of the samples taken then
+    (``(monotonic_time, cpu, seconds)``: one per CPU before each phase and
+    in the idle gaps of open-loop phases), over ``REFERENCE_S``."""
+    inside = [seconds for at, _, seconds in reference
+              if start - REFERENCE_MARGIN <= at <= end + REFERENCE_MARGIN]
+    return statistics.fmean(inside) / REFERENCE_S if inside else 1.0
+
+
+def span(phases: Sequence[Phase]) -> Tuple[float, float]:
+    """From the first due time to the last answer of ``phases``."""
+    records = [r for p in phases for r in p.records]
+    return min(r.due for r in records), max(r.done for r in records)
+
+
+#: Rounds slower than this multiple of a pass's median slowdown are left
+#: out of its time metrics: scaling undoes a slower CPU, not the queueing a
+#: heavily loaded host adds on top.
+CALM = 1.25
+
+
+def round_slowdowns(phases: Sequence[Phase],
+                    reference: Sequence[Tuple[float, int, float]]) -> Dict[int, float]:
+    """Each round's :func:`slowdown`, over every phase of the round."""
+    rounds = sorted({p.round for p in phases})
+    return {index: slowdown(reference, *span([p for p in phases if p.round == index]))
+            for index in rounds}
+
+
+def calm(phases: Sequence[Phase], slow: Dict[int, float]) -> List[Phase]:
+    """The phases of rounds no slower than ``CALM`` times the median."""
+    limit = CALM * statistics.median(slow.values())
+    return [p for p in phases if slow[p.round] <= limit]
+
+
+def meets_limit(phases: Sequence[Phase], limit_ms: float, connections: int,
+                slow: Dict[int, float]) -> bool:
+    """Whether one rate, over all its rounds, met the p90 limit at reference
+    speed, and its backlog stayed bounded in at least half of the rounds."""
+    bounded = sum(backlog_ok(p, limit_ms * slow[p.round], connections) for p in phases)
+    return (scaled_quantile(phases, 0.9, slow) <= limit_ms
+            and 2 * bounded >= len(phases))
+
+
+def closed_rate(peak: Phase) -> float:
+    """Answered requests per second in one round's closed loop, from its
+    first send to its last answer."""
     start = min(r.sent for r in peak.records)
-    windows = [0] * max(1, int(peak.duration / PEAK_WINDOW))
-    for record in peak.records:
-        slot = int((record.done - start) / PEAK_WINDOW)
-        if record.ok and slot < len(windows):
-            windows[slot] += 1
-    return statistics.median(windows) / PEAK_WINDOW
+    end = max(r.done for r in peak.records)
+    return sum(r.ok for r in peak.records) / (end - start)
 
 
-#: Windows the lowest-rate phase is cut into for ``p50_ms`` / ``p90_ms``.
-LATENCY_WINDOWS = 5
+def lowest(phases: Sequence[Phase]) -> List[Phase]:
+    """Every round's phase at the lowest open-loop rate."""
+    rate = min(p.rate for p in phases if p.rate)
+    return [p for p in phases if p.rate == rate]
 
 
-def windowed(phase: Phase, q: float) -> float:
-    """The median, over ``LATENCY_WINDOWS`` equal windows of due time, of
-    each window's ``q`` quantile of read latency: a stretch of interference
-    from the rest of a shared machine moves one window, not the figure."""
-    reads = phase.reads
-    start = min(r.due for r in reads)
-    width = phase.duration / LATENCY_WINDOWS
-    windows: List[List[Record]] = [[] for _ in range(LATENCY_WINDOWS)]
-    for record in reads:
-        windows[min(LATENCY_WINDOWS - 1, int((record.due - start) / width))].append(record)
-    return statistics.median(quantile(latency_ms(w), q) for w in windows if w)
+def scaled_quantile(phases: Sequence[Phase], q: float,
+                    slow: Dict[int, float]) -> float:
+    """The ``q`` quantile of read latency (ms) over every round of
+    ``phases``, each latency divided by its round's slowdown."""
+    return quantile([latency / slow[p.round] for p in phases
+                     for latency in latency_ms(p.reads)], q)
 
 
-def end_to_end(phases: Sequence[Phase], peak: Phase, setups: Sequence[float],
-               rss_mb: float, limit_ms: float, connections: int) -> Dict[str, float]:
-    """The end-to-end metrics of one untraced pass."""
-    passing = [p.rate for p in phases
-               if quantile(latency_ms(p.reads), 0.9) <= limit_ms
-               and backlog_ok(p, limit_ms, connections)]
+def end_to_end(phases: Sequence[Phase], peaks: Sequence[Phase],
+               setups: Sequence[Tuple[float, float]], rss_mb: float,
+               limit_ms: float, connections: int,
+               slow: Dict[int, float]) -> Dict[str, float]:
+    """The end-to-end metrics of one untraced pass, times at reference speed.
+
+    ``setups`` are ``(seconds, slowdown)`` per server launch and ``slow``
+    each round's slowdown.  Only :func:`calm` rounds count.  Latencies pool
+    every such round of the lowest rate; ``peak_rps`` is the median over
+    rounds.  ``slo_rps`` is the highest rate that :func:`meets_limit`.
+    """
+    phases, peaks = calm(phases, slow), calm(peaks, slow)
+    rates = sorted({p.rate for p in phases})
+    passing = [rate for rate in rates
+               if meets_limit([p for p in phases if p.rate == rate], limit_ms,
+                              connections, slow)]
+    low = lowest(phases)
     return {
-        "setup_s": statistics.median(setups),
-        "p50_ms": windowed(phases[0], 0.5),
-        "p90_ms": windowed(phases[0], 0.9),
+        "setup_s": statistics.median(seconds / factor for seconds, factor in setups),
+        "p50_ms": scaled_quantile(low, 0.5, slow),
+        "p90_ms": scaled_quantile(low, 0.9, slow),
         "slo_rps": max(passing) if passing else 0.0,
-        "peak_rps": peak_rate(peak),
+        "peak_rps": statistics.median(closed_rate(p) * slow[p.round] for p in peaks),
         "server_rss_mb": rss_mb,
     }
 
@@ -236,21 +293,23 @@ def _outermost(spans: Sequence[list], prefix: str) -> List[list]:
             and not names.get(s[1], "").startswith(prefix)]
 
 
-def per_layer(phases: Sequence[Phase], peak: Phase, spans: Sequence[list],
-              stats: Dict[str, float], cpu_s: float, window: float,
-              untraced_p50_ms: float) -> Dict[str, float]:
+def per_layer(phases: Sequence[Phase], peaks: Sequence[Phase],
+              spans: Sequence[list], stats: Dict[str, float], cpu_s: float,
+              window: float, untraced_p50_ms: float,
+              slow: Dict[int, float]) -> Dict[str, float]:
     """The per-layer metrics of one traced pass.
 
-    Client-side timings come from the lowest-rate phase, like ``p50_ms``;
+    Client-side timings come from the lowest-rate phases, like ``p50_ms``;
     counts and shares cover the whole measured window.  ``spans`` are the
     server's spans inside that window (``window`` seconds of wall time);
     ``stats`` are ``/v1/stats`` counter deltas over it.
     """
-    low = phases[0].records
-    everything = [r for p in phases for r in p.records] + peak.records
+    low_phases = lowest(phases)
+    low = [r for p in low_phases for r in p.records]
+    everything = [r for p in list(phases) + list(peaks) for r in p.records]
     answered = [r for r in everything if r.status == 200 and r.payload]
-    low_reads = [r for r in phases[0].reads if r.ok]
-    writes = [r for r in phases[0].records if r.lane == "write" and r.ok]
+    low_reads = [r for r in low if r.lane == "read" and r.ok]
+    writes = [r for r in low if r.lane == "write" and r.ok]
     serve = _durations(spans, "service.serve")
     serve_by_batch = {s[5]: 1e3 * (s[4] - s[3]) for s in spans
                       if s[2] == "service.serve"}
@@ -299,7 +358,8 @@ def per_layer(phases: Sequence[Phase], peak: Phase, spans: Sequence[list],
             [m.get("recomputed", 0) for m in read_meta]) if read_meta else 0.0,
         "monitor.live_points": statistics.fmean(
             [m.get("live", 0) for m in read_meta]) if read_meta else 0.0,
-        "trace.overhead": windowed(phases[0], 0.5) / untraced_p50_ms,
+        "trace.overhead": scaled_quantile(calm(low_phases, slow), 0.5, slow)
+                          / untraced_p50_ms,
     }
     for backend in ("python", "numpy"):
         mine = [s for s in kernels if s[2] == "kernel." + backend]

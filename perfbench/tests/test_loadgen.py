@@ -48,6 +48,29 @@ def test_latency_includes_a_server_stall(stub):
     assert max(r.lag for r in records) < stall / 2
 
 
+def test_idle_calls_only_in_gaps_with_nothing_outstanding(stub):
+    server = stub()
+    client = Client("127.0.0.1", server.port, 2)
+    calls = []
+
+    def idle():
+        calls.append((time.monotonic(), client.outstanding))
+        time.sleep(0.01)  # a reference sample blocks the loop this long
+
+    start = time.monotonic() + 0.02
+    records = drive(client, client.open_loop(schedule(20, 0.06), "open", start,
+                                             idle=idle))
+    assert len(calls) >= 10
+    dues = sorted(r.due for r in records)
+    for at, outstanding in calls:
+        assert outstanding == 0
+        upcoming = [due for due in dues if due > at]
+        assert upcoming and upcoming[0] - at > 0.02
+    # The blocking calls never made the generator's timers late.
+    assert max(r.lag for r in records) < 0.005
+    assert all(r.ok for r in records)
+
+
 def test_never_more_than_nproc_connections(stub):
     server = stub()
     connections = connection_count()
@@ -63,7 +86,7 @@ def test_never_more_than_nproc_connections(stub):
     sources = {"read": lambda: ({"kind": "query"}, b'{"kind": "query"}')}
     server2 = stub()
     client2 = Client("127.0.0.1", server2.port, connections)
-    drive(client2, client2.closed_loop(sources, "peak", 0.3))
+    drive(client2, client2.closed_loop(sources, "peak", 50))
     assert server2.connections <= connections
 
 
@@ -98,5 +121,6 @@ def test_update_batches_keep_their_order_on_one_connection(stub):
 
     sources = {"write": next_write,
                "read": lambda: ({"kind": "monitor"}, b'{"kind": "monitor", "seq": 0}')}
-    drive(client2, client2.closed_loop(sources, "peak", 0.3))
+    records = drive(client2, client2.closed_loop(sources, "peak", 60))
+    assert len(records) == 60
     assert len(check(server2.log)) > 10
