@@ -1,10 +1,9 @@
 """Engine benchmarks -- thin wrapper over ``repro bench grid``.
 
 The workload declarations (direct one-shot solver calls vs the sharded
-:class:`repro.engine.QueryEngine` on the linearithmic rectangle and
-quadratic disk workloads, value-equality checks, and the full-size
-acceptance gate that the sharded disk path beats the direct sweep
-outright) live in :class:`repro.bench.suites.EngineSuite`; this script
+:class:`repro.engine.QueryEngine` on the rectangle and disk workloads,
+value-equality checks, and the sharded/direct disk ratio the regression
+gate tracks) live in :class:`repro.bench.suites.EngineSuite`; this script
 runs that one suite and writes the unified ``repro-bench-grid/1``
 artifact to ``BENCH_engine.json``::
 

@@ -9,9 +9,9 @@ executor grid through the driver in :mod:`repro.bench.grid`:
                    vectorised NumPy backend, with cross-backend agreement
                    checks at sizes the unit suite cannot afford;
 * ``engine``    -- direct one-shot solver calls vs the sharded execution
-                   engine on rectangle (linearithmic) and disk (quadratic)
-                   workloads, gated on value equality and, at full size, on
-                   the sharded disk path beating the direct sweep outright;
+                   engine on rectangle and disk workloads, gated on value
+                   equality, with the sharded/direct disk ratio as the
+                   regression gate;
 * ``streaming`` -- the exact-recompute baseline vs the dirty-shard monitors
                    (python / batched-auto / threaded) and the multi-query
                    shared store on a localized churn stream, differentially
@@ -37,9 +37,8 @@ executor grid through the driver in :mod:`repro.bench.grid`:
                    heterogeneous trace through the serial loop and the
                    serving front end per routing mode, with the bit-for-bit
                    differential on direct routing, the strict value
-                   differential on plan-aware routing (which shards the
-                   quadratic top-k members), and the colored box3d solver
-                   checked direct vs engine.
+                   differential on plan-aware routing, and the colored
+                   box3d solver checked direct vs engine.
 
 All imports of the measured subsystems happen lazily inside the suites so
 ``import repro.bench`` stays light.
@@ -173,8 +172,8 @@ class EngineSuite(GridSuite):
     """Direct one-shot solver calls vs the sharded execution engine."""
 
     name = "engine"
-    description = ("rectangle (linearithmic) and disk (quadratic) workloads, "
-                   "direct sweep vs QueryEngine per executor")
+    description = ("rectangle and disk workloads, direct sweep vs "
+                   "QueryEngine per executor")
 
     def defaults(self, quick: bool) -> Dict[str, object]:
         """One size per mode; extents scale with sqrt(n) to hold density."""
@@ -240,8 +239,10 @@ class EngineSuite(GridSuite):
                            "exact": bool(result.exact)})
 
     def finish(self, results, config, context):
-        """Engine answers must match the direct sweep; at full size the
-        sharded disk path must beat the quadratic direct sweep outright."""
+        """Engine answers must match the direct sweep.  The sharded/direct
+        disk ratio is a regression gate, not a win condition: both disk
+        kernels prune with a neighbour grid, so sharding cuts no work (see
+        :attr:`repro.engine.Query.cost_class`)."""
         checks: List[CheckResult] = []
         summary: Dict[str, object] = {}
         gates: Dict[str, object] = {}
@@ -267,11 +268,6 @@ class EngineSuite(GridSuite):
                 summary["%s_sharded_speedup" % workload] = speedup
                 if workload == "disk":
                     gates["disk_sharded_speedup"] = speedup
-                    if not config["quick"] and speedup <= 1.0:
-                        checks.append(CheckResult(
-                            "sharded disk beats the direct quadratic sweep",
-                            False, "sharded is only %.2fx at n=%d"
-                            % (speedup, config["n"])))
         return checks, summary, gates
 
 

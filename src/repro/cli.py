@@ -1017,7 +1017,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "misses; 'sharded' = flush misses through the sharded "
                             "engine (same values, possibly different placements); "
                             "'auto' = plan-aware: shard only the quadratic-cost "
-                            "queries (engine batch_plan)")
+                            "queries, colored rectangles and boxes (engine "
+                            "batch_plan)")
     serve.add_argument("--radius", type=float, default=1.0,
                        help="disk radius of the live hotspot monitor")
     serve.add_argument("--backend", choices=["auto", "python", "numpy"], default="auto",

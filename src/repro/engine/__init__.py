@@ -41,7 +41,7 @@ from .planner import (
     resolve_task_backend,
     solve_query,
 )
-from .sharding import Shard, ShardPlan, choose_tile_sides, plan_shards, tile_keys_for_point
+from .sharding import ShardPlan, choose_tile_sides, plan_shards, tile_keys_for_point
 
 __all__ = [
     "BatchPlan",
@@ -56,7 +56,6 @@ __all__ = [
     "ThreadPoolExecutor",
     "ProcessPoolExecutor",
     "get_executor",
-    "Shard",
     "ShardPlan",
     "plan_shards",
     "choose_tile_sides",

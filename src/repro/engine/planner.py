@@ -13,12 +13,16 @@ batch-serving engine over one dataset:
   back together (:mod:`repro.engine.merge`);
 * answers are cached in an LRU keyed by *dataset fingerprint + query*, so a
   re-issued query is served without touching a solver, and shardings are
-  memoised per halo so queries with the same extent share the partitioning
-  work.
+  memoised per halo (in an LRU bounded by the points they index) so queries
+  with the same extent share the partitioning work.
 
+The engine holds its dataset once, as columns: a contiguous float64
+``(n, d)`` coordinate array, ``(n,)`` weights and int64 color codes plus a
+palette.  Solves bound for the NumPy kernels take array views; tuple lists
+are built once, on first need, for the pure-Python and colored solvers.
 Shard tasks from all cache-missing queries of a batch are flattened into one
 task list before hitting the executor, so a batch parallelises across
-queries *and* shards at once.
+queries *and* shards at once; every executor runs the same task function.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from ..batched import batched_maxrs_1d, batched_maxrs_rectangles
 from ..boxes import colored_maxrs_box, colored_maxrs_box3d_exact
 from ..core import colored_maxrs_disk, max_range_sum_ball
 from ..core._inputs import normalize_colored, normalize_weighted
-from ..core.geometry import ColoredPoint, point_in_ball, point_in_box
+from ..core.geometry import ColoredPoint
 from ..core.result import MaxRSResult
 from ..exact import (
     colored_maxrs_disk_sweep,
@@ -50,7 +54,7 @@ from ..regions.decay import decayed_maxrs
 from ..regions.topk import PlacementScore, top_k_maxrs_disk, top_k_maxrs_rectangle
 from .executors import Executor, get_executor
 from .merge import merge_batched_results, merge_shard_results
-from .sharding import Shard, ShardPlan, plan_shards
+from .sharding import ShardArrays, ShardPlan, encode_colors, plan_shards
 
 __all__ = [
     "BatchPlan",
@@ -328,14 +332,20 @@ class Query:
         """How the routed solver's running time scales in the shard size,
         which drives the planner's sharding granularity:
 
-        * ``"quadratic"`` -- the ``O(m^2 log m)`` sweeps (weighted / colored
-          disk, colored rectangle, the colored 3-d box's z-slab sweep).  The
+        * ``"quadratic"`` -- the ``O(m^2 log m)`` sweeps with no pruning
+          (colored rectangle, the colored 3-d box's z-slab sweep).  The
           smallest legal tiles both minimise total work and avoid
           stragglers, so sharding is a *work* optimisation even on one core.
         * ``"linearithmic"`` -- the ``O(m log m)`` sweeps (weighted rectangle
-          and both intervals, plus the batched families that loop them).
-          Sharding only buys parallelism, so shards should be coarse to keep
-          halo replication low.
+          and both intervals, plus the batched families that loop them), and
+          the exact weighted and colored disk sweeps.  Sharding only buys
+          parallelism, so shards should be coarse to keep halo replication
+          low.  The disk sweeps are quadratic only in the worst case: both
+          kernels prune circle pairs with a neighbour grid, so a point's cost
+          depends on its local density, which a halo shard does not lower.
+          Measured on 1k clustered points with cold plans, the direct call
+          took 5.75 ms on the NumPy kernels against 9.8-60 ms sharded, and
+          17.5 ms on the Python loops against 18-27 ms sharded.
         * ``"sampled"`` -- the near-linear approximate solvers, whose large
           per-call fixed costs argue for one shard per worker.
 
@@ -344,11 +354,7 @@ class Query:
         """
         if not self.exact:
             return "sampled"
-        if self.family == "batched":
-            return "linearithmic"
-        if self.shape == "box":
-            return "quadratic"
-        if self.shape == "disk" or (self.colored and self.shape == "rectangle"):
+        if self.colored and self.shape in ("rectangle", "box"):
             return "quadratic"
         return "linearithmic"
 
@@ -542,55 +548,45 @@ def resolve_task_backend(backend: str, shard_population: int) -> str:
     return resolve_backend(backend, shard_population)
 
 
-def _solve_shard_task(task: Tuple[Query, Shard]) -> MaxRSResult:
-    """Executor task: solve one query on one shard (picklable payload)."""
-    query, shard = task
-    return solve_query(query, shard.coords, shard.weights, shard.colors)
+def _array_inputs(query: Query, n: int) -> bool:
+    """Whether ``query``'s solver takes NumPy arrays on ``n`` points: the
+    exact weighted single and batched sweeps, when they resolve to the NumPy
+    kernels (the solvers' ``prefer_arrays`` fast path).  Every other solver
+    takes tuple lists."""
+    return (query.exact and not query.colored
+            and query.family in ("single", "batched")
+            and resolve_backend(query.backend, n) == "numpy")
 
 
-def _solve_shard_descriptor_task(task) -> MaxRSResult:
-    """Executor task for the shared-memory path: solve one query on one
-    shard addressed by a :class:`repro.parallel.ShardDescriptor`.
+def _solve_shard_task(task) -> MaxRSResult:
+    """Executor task: solve one query on one shard -- the one task function
+    every executor runs.
 
-    The descriptor resolves against the process-local attachment cache, so
-    the task's pickled payload is the query plus a few segment names and an
-    index range -- no point data crosses the process boundary.  Exact
-    weighted queries bound for the NumPy kernels resolve as raw array
-    slices (the solvers' ``prefer_arrays`` fast path skips per-point
-    normalisation entirely); everything else materialises the usual
-    parallel lists, bit-identically to the pickled payloads.
+    ``task`` is ``(query, source)`` or, traced, ``(query, source, tags)``.
+    The source is a :class:`~repro.engine.sharding.ShardArrays` (serial,
+    thread and process executors: the shard's slice of the engine's arrays)
+    or a :class:`repro.parallel.ShardDescriptor` (shared-process: an index
+    range into the published store, so no point data is pickled).  Both
+    resolve through the same ``resolve(arrays=...)`` call: array slices for
+    NumPy-bound sweeps, tuple lists otherwise.
     """
-    query, descriptor = task
-    arrays = query.exact and not query.colored and query.backend == "numpy"
-    coords, weights, colors = descriptor.resolve(arrays=arrays)
+    query, source = task[0], task[1]
+    coords, weights, colors = source.resolve(
+        arrays=_array_inputs(query, len(source)))
     return solve_query(query, coords, weights, colors)
 
 
 def _solve_shard_task_traced(task):
-    """Traced executor task: like :func:`_solve_shard_task`, but runs under
-    a worker-side span capture and returns ``(result, records)`` so the
-    parent can graft the shard's ``shard.solve`` subtree into its trace.
+    """Traced executor task: :func:`_solve_shard_task` under a worker-side
+    span capture, returning ``(result, records)`` so the parent can graft
+    the shard's ``shard.solve`` subtree into its trace.
 
     The capture is unconditional -- the parent already decided to trace
     when it chose this task function, and worker processes may not share
     its environment or programmatic tracing switch.
     """
-    query, shard, tags = task
-    with obs.capture("shard.solve", **tags) as captured:
-        result = solve_query(query, shard.coords, shard.weights, shard.colors)
-    return result, captured.records
-
-
-def _solve_shard_descriptor_task_traced(task):
-    """Traced executor task for the shared-memory path: like
-    :func:`_solve_shard_descriptor_task`, returning ``(result, records)``
-    with the worker-captured ``shard.solve`` subtree (see
-    :func:`_solve_shard_task_traced`)."""
-    query, descriptor, tags = task
-    with obs.capture("shard.solve", **tags) as captured:
-        arrays = query.exact and not query.colored and query.backend == "numpy"
-        coords, weights, colors = descriptor.resolve(arrays=arrays)
-        result = solve_query(query, coords, weights, colors)
+    with obs.capture("shard.solve", **task[2]) as captured:
+        result = _solve_shard_task(task)
     return result, captured.records
 
 
@@ -690,9 +686,6 @@ class BatchPlan:
     shard_tasks:
         Executor tasks a flush would submit: the sum of shard counts over
         the non-cached unique queries.
-    cost_classes:
-        ``query -> cost_class`` for the non-cached unique queries (see
-        :attr:`Query.cost_class`), the routing signal for batch formation.
     direct:
         The non-cached unique queries the engine will answer *directly* (one
         full-dataset call, no shard merge) because their sharded merge
@@ -706,7 +699,6 @@ class BatchPlan:
     duplicates: int
     cached: Tuple[Query, ...]
     shard_tasks: int
-    cost_classes: Dict[Query, str]
     direct: Tuple[Query, ...] = ()
 
 
@@ -730,8 +722,8 @@ class QueryEngine:
         and otherwise stays serial.  ``"shared-process"`` publishes the
         dataset once to a :class:`repro.parallel.SharedDatasetStore` the
         engine owns (released on :meth:`close`) and submits shard
-        *descriptors* -- index ranges into the store -- instead of pickled
-        point payloads.
+        *descriptors* -- index ranges into the store -- instead of the
+        shards' point arrays.
     workers:
         Worker count for the pooled executors; defaults to the CPU count.
     target_shards:
@@ -740,6 +732,15 @@ class QueryEngine:
         :attr:`Query.cost_class` (see :meth:`shard_plan`).
     cache_size:
         Capacity of the LRU result cache (``0`` disables caching).
+
+    The dataset is held once, as validated columns: a contiguous float64
+    ``(n, d)`` coordinate array, ``(n,)`` weights and, for colored data,
+    int64 color codes plus a palette -- the arrays a
+    :class:`repro.parallel.SharedDatasetStore` publishes.  Sharding plans
+    are memoised per extent in an LRU bounded by the points they index
+    (``16 * n``: a plan indexes each point once per shard it lands in);
+    least recently used plans are evicted between batches, and on
+    ``"shared-process"`` their index blocks are unlinked.
 
     Examples
     --------
@@ -760,9 +761,13 @@ class QueryEngine:
         target_shards: Optional[int] = None,
         cache_size: int = 128,
     ):
-        points = list(points)
-        coords, weight_list, dim = normalize_weighted(points, weights, require_positive=False)
-        if any(w < 0 for w in weight_list):
+        if not isinstance(points, np.ndarray):
+            points = list(points)
+        coords, weight_arr, dim = normalize_weighted(
+            points, weights, require_positive=False, prefer_arrays=True)
+        # Copies: the engine must not alias a caller's mutable arrays.
+        self._weights = np.array(weight_arr, dtype=np.float64)
+        if (self._weights < 0).any():
             # Max-merging shard results is only sound when adding points can
             # never lower a placement's value; a shard blind to a nearby
             # negative-weight point would overestimate and win the merge.
@@ -770,21 +775,29 @@ class QueryEngine:
                 "QueryEngine requires non-negative weights: the sharded max-merge "
                 "is unsound otherwise (use the solvers directly for guard points)"
             )
-        self._coords: List[Coords] = coords
-        self._weights: List[float] = weight_list
+        self._points = np.array(coords, dtype=np.float64, order="C").reshape(
+            len(coords), dim)
         self.dim = dim
-        if colors is not None or any(isinstance(p, ColoredPoint) for p in points):
+        color_list = None
+        self._codes: Optional[np.ndarray] = None
+        self._palette: Optional[Tuple[Hashable, ...]] = None
+        if colors is not None or (not isinstance(points, np.ndarray) and any(
+                isinstance(p, ColoredPoint) for p in points)):
             _, color_list, _ = normalize_colored(points, colors)
-            self._colors: Optional[List[Hashable]] = color_list
-        else:
-            self._colors = None
+            self._codes, self._palette = encode_colors(color_list)
+        # (coords, weights, colors) tuple lists for the solvers that take
+        # them, built once on first need (see _inputs).
+        self._lists = None
 
         self._executor = get_executor(executor, workers)
         self.target_shards = target_shards
-        self.fingerprint = dataset_fingerprint(coords, self._weights, self._colors)
+        self.fingerprint = dataset_fingerprint(self._points, self._weights, color_list)
         self._cache = LRUCache(cache_size)
-        self._plans: Dict[Tuple, ShardPlan] = {}  # (halo..., target_shards) -> plan
-        self._index_blocks: Dict[Tuple, "IndexBlockHandle"] = {}  # same keys
+        # (halo..., target_shards) -> plan, least recently used first; the
+        # index blocks published for them share the keys.
+        self._plans: "OrderedDict[Tuple, ShardPlan]" = OrderedDict()
+        self._plan_points = 0
+        self._index_blocks: Dict[Tuple, "IndexBlockHandle"] = {}
         self._shards_solved = 0
         self._queries_served = 0
 
@@ -794,11 +807,11 @@ class QueryEngine:
         # releases it on close(); empty datasets stay store-less (there is
         # nothing to publish and no shard tasks to run).
         self._store = None
-        if self._executor.kind == "shared-process" and self._coords:
+        if self._executor.kind == "shared-process" and len(self):
             from ..parallel import SharedDatasetStore
 
             self._store = SharedDatasetStore(
-                self._coords, weights=self._weights, colors=self._colors)
+                self._points, weights=self._weights, colors=color_list)
             bind = getattr(self._executor, "bind_store", None)
             if bind is not None and getattr(self._executor, "store", None) is None:
                 bind(self._store)
@@ -808,7 +821,7 @@ class QueryEngine:
     # ------------------------------------------------------------------ #
 
     def __len__(self) -> int:
-        return len(self._coords)
+        return len(self._points)
 
     def __enter__(self) -> "QueryEngine":
         return self
@@ -848,15 +861,35 @@ class QueryEngine:
         }
 
     # ------------------------------------------------------------------ #
+    # dataset access
+    # ------------------------------------------------------------------ #
+
+    def _slice(self, idx) -> ShardArrays:
+        """The points at ``idx`` (index array or slice) as a shard payload."""
+        return ShardArrays(
+            coords=self._points[idx], weights=self._weights[idx],
+            codes=None if self._codes is None else self._codes[idx],
+            palette=self._palette)
+
+    def _inputs(self, query: Query):
+        """The whole dataset in the form ``query``'s solver takes: the arrays
+        themselves for NumPy-bound sweeps, else tuple lists (built once)."""
+        if _array_inputs(query, len(self)):
+            return self._points, self._weights, None
+        if self._lists is None:
+            self._lists = self._slice(slice(None)).resolve()
+        return self._lists
+
+    # ------------------------------------------------------------------ #
     # planning
     # ------------------------------------------------------------------ #
 
     def _validate(self, query: Query) -> None:
-        if query.colored and self._colors is None:
+        if query.colored and self._codes is None:
             raise ValueError(
                 "colored query %s on a dataset without colors" % query.describe()
             )
-        if not self._coords:
+        if not len(self):
             return
         if query.shape == "interval":
             if self.dim != 1:
@@ -889,15 +922,24 @@ class QueryEngine:
         key = self._plan_key(query)
         plan = self._plans.get(key)
         if plan is None:
-            plan = plan_shards(
-                self._coords,
-                key[:-1],
-                weights=self._weights,
-                colors=self._colors,
-                target_shards=key[-1],
-            )
+            plan = plan_shards(self._points, key[:-1], target_shards=key[-1])
             self._plans[key] = plan
+            self._plan_points += len(plan.indices)
+        else:
+            self._plans.move_to_end(key)
         return plan
+
+    def _trim_plans(self) -> None:
+        """Evict least recently used plans until the memo indexes at most
+        ``16 * n`` points (the newest plan always stays), and unlink the
+        evicted plans' index blocks.  Runs only between batches, never while
+        descriptors into a block are in flight."""
+        while self._plan_points > 16 * len(self) and len(self._plans) > 1:
+            key, plan = self._plans.popitem(last=False)
+            self._plan_points -= len(plan.indices)
+            block = self._index_blocks.pop(key, None)
+            if block is not None and self._store is not None:
+                self._store.release_index_block(block)
 
     def _plan_key(self, query: Query) -> Tuple:
         """The memoisation key of a query's sharding: its halo plus the
@@ -908,14 +950,7 @@ class QueryEngine:
         else:
             cost = query.cost_class
             if cost == "quadratic":
-                if query.backend == "numpy":
-                    # The vectorised sweeps amortise their per-call setup over
-                    # the shard, so larger shards (~2k points) cut the halo
-                    # replication without starving the kernels.
-                    target = max(4, self._executor.workers,
-                                 len(self._coords) // 2048)
-                else:
-                    target = max(16, 4 * self._executor.workers, len(self._coords) // 192)
+                target = max(16, 4 * self._executor.workers, len(self) // 192)
             elif cost == "linearithmic":
                 target = max(16, 4 * self._executor.workers)
             else:
@@ -924,18 +959,17 @@ class QueryEngine:
 
     def _shard_index_block(self, query: Query, plan: ShardPlan):
         """The (memoised) shared-memory index block of one sharding plan:
-        every shard's point indices concatenated into one segment, published
-        once per plan so repeat queries re-send nothing."""
+        the plan's CSR indices in one segment, published once per plan so
+        repeat queries re-send nothing."""
         key = self._plan_key(query)
         block = self._index_blocks.get(key)
         if block is None:
-            block = self._store.publish_index_block(
-                [shard.indices for shard in plan.shards])
+            block = self._store.publish_index_block(plan.offsets, plan.indices)
             self._index_blocks[key] = block
         return block
 
     def _empty_result(self, query: Query) -> MaxRSResult:
-        return solve_query(query, [], [], [] if self._colors is not None else None)
+        return solve_query(query, [], [], [] if self._codes is not None else None)
 
     def batch_plan(self, queries: Sequence[Query]) -> BatchPlan:
         """Plan a batch without executing it (the serving layer's routing hook).
@@ -955,14 +989,12 @@ class QueryEngine:
         cached: List[Query] = []
         direct: List[Query] = []
         shard_tasks = 0
-        cost_classes: Dict[Query, str] = {}
         for query in unique:
             self._validate(query)
             if self._cache.peek((self.fingerprint, query)) is not None:
                 cached.append(query)
                 continue
-            cost_classes[query] = query.cost_class
-            if not self._coords:
+            if not len(self):
                 continue
             mode = query.shard_mode
             if mode == "direct":
@@ -973,15 +1005,15 @@ class QueryEngine:
                 shard_tasks += 1
             elif mode == "peel":
                 # Upper bound: one sharded rank-1 solve per greedy round.
-                shard_tasks += len(self.shard_plan(query).shards) * query.k
+                shard_tasks += len(self.shard_plan(query)) * query.k
             else:
-                shard_tasks += len(self.shard_plan(query).shards)
+                shard_tasks += len(self.shard_plan(query))
+        self._trim_plans()
         return BatchPlan(
             unique=tuple(unique),
             duplicates=len(queries) - len(unique),
             cached=tuple(cached),
             shard_tasks=shard_tasks,
-            cost_classes=cost_classes,
             direct=tuple(direct),
         )
 
@@ -997,9 +1029,9 @@ class QueryEngine:
         """Bypass sharding and caching: run the underlying solver once on the
         whole dataset.  The reference path the engine is validated against."""
         with obs.trace("engine.solve_direct", query=query.describe(),
-                       n=len(self._coords)):
+                       n=len(self)):
             self._validate(query)
-            return solve_query(query, self._coords, self._weights, self._colors)
+            return solve_query(query, *self._inputs(query))
 
     def solve_batch(self, queries: Sequence[Query]) -> List[MaxRSResult]:
         """Solve a heterogeneous batch.
@@ -1019,7 +1051,10 @@ class QueryEngine:
         """
         with obs.trace("engine.solve_batch", queries=len(queries),
                        executor=self._executor.kind) as batch_span:
-            return self._solve_batch_spanned(queries, batch_span)
+            try:
+                return self._solve_batch_spanned(queries, batch_span)
+            finally:
+                self._trim_plans()
 
     def _solve_batch_spanned(self, queries: Sequence[Query],
                              batch_span) -> List[MaxRSResult]:
@@ -1057,8 +1092,8 @@ class QueryEngine:
                               query=query.describe()) as plan_span:
                     self._validate(query)
                     plan = self.shard_plan(query)
-                    plan_span.tag(shards=len(plan.shards))
-                groups.append((query, len(plan.shards)))
+                    plan_span.tag(shards=len(plan))
+                groups.append((query, len(plan)))
                 # The shared-memory path replaces each shard's point payload
                 # with a descriptor (segment names + index range) resolved
                 # inside the worker against the published dataset store.
@@ -1069,29 +1104,27 @@ class QueryEngine:
                 # shard's population, so fine shards run the pure-Python loops
                 # (no NumPy per-call overhead) while big shards vectorise.
                 # Explicit backends pass through untouched; the cache keeps
-                # keying on the original query.
-                for ordinal, shard in enumerate(plan.shards):
+                # keying on the original query.  In-process executors get
+                # the shard's slice of the engine's arrays.
+                for ordinal in range(len(plan)):
+                    indices = plan.shard_indices(ordinal)
                     task_query = query
                     if query.backend == "auto":
-                        task_query = replace(query, backend=resolve_task_backend("auto", len(shard)))
-                    payload = (block.descriptor(dataset, ordinal)
-                               if block is not None else shard)
+                        task_query = replace(query, backend=resolve_task_backend(
+                            "auto", len(indices)))
+                    source = (block.descriptor(dataset, ordinal)
+                              if block is not None else self._slice(indices))
                     if traced:
                         # Traced tasks carry their span tags and return the
                         # worker-captured records alongside the result.
-                        tasks.append((task_query, payload, {
+                        tasks.append((task_query, source, {
                             "query": query.describe(), "shard": ordinal,
                             "backend": task_query.backend,
-                            "points": len(shard)}))
+                            "points": len(indices)}))
                     else:
-                        tasks.append((task_query, payload))
+                        tasks.append((task_query, source))
 
-            if self._store is not None:
-                task_fn = (_solve_shard_descriptor_task_traced if traced
-                           else _solve_shard_descriptor_task)
-            else:
-                task_fn = (_solve_shard_task_traced if traced
-                           else _solve_shard_task)
+            task_fn = _solve_shard_task_traced if traced else _solve_shard_task
             with obs.span("engine.execute", tasks=len(tasks),
                           executor=self._executor.kind,
                           workers=self._executor.workers) as exec_span:
@@ -1129,7 +1162,7 @@ class QueryEngine:
                     merged = merge(group, empty=self._empty_result(query))
                     meta = dict(merged.meta)
                     if "n" in meta:
-                        meta["n"] = len(self._coords)  # not the winning shard's population
+                        meta["n"] = len(self)  # not the winning shard's population
                     meta["executor"] = self._executor.kind
                     merged = MaxRSResult(value=merged.value, center=merged.center,
                                          shape=merged.shape, exact=merged.exact, meta=meta)
@@ -1149,9 +1182,8 @@ class QueryEngine:
         for query in direct_misses:
             self._validate(query)
             with obs.span("engine.direct", query=query.describe(),
-                          n=len(self._coords)):
-                result = solve_query(query, self._coords, self._weights,
-                                     self._colors)
+                          n=len(self)):
+                result = solve_query(query, *self._inputs(query))
             meta = dict(result.meta)
             meta.update({"routed": "direct", "executor": self._executor.kind})
             result = MaxRSResult(value=result.value, center=result.center,
@@ -1180,34 +1212,28 @@ class QueryEngine:
         everywhere in the sharded engine, a round may report a different
         equally-optimal placement).
 
-        Rounds always ship pickled sub-shard payloads, never shared-memory
-        descriptors: the unclaimed subset changes every round, so there is
-        no stable index block to publish.
+        Rounds filter each shard's index slice through a live-point mask and
+        ship the surviving points' arrays, never shared-memory descriptors:
+        the unclaimed subset changes every round, so there is no stable
+        index block to publish.
         """
         plan = self.shard_plan(query)
         base = replace(query, family="single", k=None)
-        alive = [True] * len(self._coords)
+        alive = np.ones(len(self), dtype=bool)
         placements: List[PlacementScore] = []
         rounds = 0
         for rank in range(1, query.k + 1):
-            tasks: List[Tuple[Query, Shard]] = []
-            for shard in plan.shards:
-                live = [j for j, index in enumerate(shard.indices) if alive[index]]
-                if not live:
+            tasks: List[Tuple] = []
+            for ordinal in range(len(plan)):
+                indices = plan.shard_indices(ordinal)
+                live = indices[alive[indices]]
+                if not len(live):
                     continue
-                sub = Shard(
-                    key=shard.key,
-                    coords=[shard.coords[j] for j in live],
-                    weights=(None if shard.weights is None
-                             else [shard.weights[j] for j in live]),
-                    colors=None,
-                    indices=[shard.indices[j] for j in live],
-                )
                 task_query = base
                 if base.backend == "auto":
                     task_query = replace(
-                        base, backend=resolve_task_backend("auto", len(sub)))
-                tasks.append((task_query, sub))
+                        base, backend=resolve_task_backend("auto", len(live)))
+                tasks.append((task_query, self._slice(live)))
             if not tasks:
                 break
             with obs.span("engine.execute", tasks=len(tasks),
@@ -1219,27 +1245,38 @@ class QueryEngine:
             best = merge_shard_results(results, empty=self._empty_result(base))
             if best.center is None or best.value <= 0:
                 break
-            if query.shape == "rectangle":
-                lower = best.center
-                upper = (lower[0] + query.width, lower[1] + query.height)
-                claimed = [i for i, live_flag in enumerate(alive)
-                           if live_flag and point_in_box(self._coords[i], lower, upper)]
-            else:
-                claimed = [i for i, live_flag in enumerate(alive)
-                           if live_flag and point_in_ball(self._coords[i],
-                                                          best.center, query.radius)]
-            if not claimed:
+            claimed = alive & self._covered(query, best.center)
+            covered = int(claimed.sum())
+            if not covered:
                 break
             placements.append(PlacementScore(
                 rank=rank, value=best.value,
                 center=tuple(float(c) for c in best.center),
-                covered_points=len(claimed)))
-            for index in claimed:
-                alive[index] = False
-        merged = _topk_result(query, placements, len(self._coords))
+                covered_points=covered))
+            alive &= ~claimed
+        merged = _topk_result(query, placements, len(self))
         meta = dict(merged.meta)
-        meta.update({"sharded": True, "shards": len(plan.shards),
+        meta.update({"sharded": True, "shards": len(plan),
                      "rounds": rounds, "merge": "per-round sharded re-peel",
                      "executor": self._executor.kind})
         return MaxRSResult(value=merged.value, center=merged.center,
                            shape=merged.shape, exact=merged.exact, meta=meta)
+
+    def _covered(self, query: Query, anchor: Sequence[float]) -> np.ndarray:
+        """Mask of the points a rectangle (lower-left ``anchor``) or disk
+        (center ``anchor``) placement covers.  The float arithmetic, 1e-12
+        slack included, is :func:`repro.core.geometry.point_in_box` /
+        :func:`~repro.core.geometry.point_in_ball`'s, per element and axis
+        in the same order, so the mask equals those scalar tests."""
+        if query.shape == "rectangle":
+            inside = np.ones(len(self), dtype=bool)
+            for axis, side in enumerate((query.width, query.height)):
+                column = self._points[:, axis]
+                inside &= ((anchor[axis] - 1e-12 <= column)
+                           & (column <= anchor[axis] + side + 1e-12))
+            return inside
+        squared = np.zeros(len(self))
+        for axis in range(self.dim):
+            delta = self._points[:, axis] - anchor[axis]
+            squared = squared + delta * delta
+        return squared <= query.radius * query.radius + 1e-12

@@ -1,8 +1,8 @@
 """Zero-copy shared-memory process execution.
 
-The pickle-based ``executor="process"`` backend re-serialises full shard
-point payloads for every task, so its multi-core win erodes exactly when it
-matters -- on large datasets.  This package removes the serialization from
+The pickle-based ``executor="process"`` backend re-serialises each
+shard's point arrays for every task, so its multi-core win erodes as
+datasets grow.  This package removes the serialization from
 the hot path the way grid-partitioned parallel MaxRS systems do: all
 partitions read one shared, immutable point table.
 

@@ -16,10 +16,12 @@ that here with OS shared memory:
   per-shard point *indices* of a whole sharding plan into one more segment,
   so an executor task is a :class:`ShardDescriptor` -- segment names plus an
   ``[start, stop)`` range -- instead of a pickled point list;
-* workers attach on first use (:func:`ShardDescriptor.resolve`), cache their
-  attachments per process, and materialise shard point lists bit-identically
-  to the parent's (``float64`` round-trips are exact, palettes restore the
-  original color objects).
+* workers attach the dataset on first use (:func:`ShardDescriptor.resolve`)
+  and keep it attached; index blocks are read and detached at once, so the
+  owner can unlink a block its plan memo evicted
+  (:meth:`SharedDatasetStore.release_index_block`) without any worker pinning
+  it.  Shards materialise bit-identically to the parent's data (``float64``
+  round-trips are exact, palettes restore the original color objects).
 
 Lifecycle is explicit and refcounted: the creating process owns the segments
 (``refcount == 1`` at construction), co-owners call :meth:`register` /
@@ -33,6 +35,7 @@ is unlinked early or reported as leaked.
 from __future__ import annotations
 
 import atexit
+import itertools
 import os
 import threading
 import weakref
@@ -42,6 +45,8 @@ from multiprocessing import shared_memory
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from ..engine.sharding import ShardArrays, encode_colors
 
 __all__ = [
     "DatasetHandle",
@@ -81,10 +86,17 @@ class DatasetHandle:
 class IndexBlockHandle:
     """Picklable description of one published sharding plan's index block:
     the concatenated per-shard point indices live in segment ``name`` and
-    shard ``i`` owns ``indices[offsets[i]:offsets[i + 1]]``."""
+    shard ``i`` owns ``indices[offsets[i]:offsets[i + 1]]``.
+
+    ``serial`` identifies the block for caching.  Segment names are random
+    and come back into use once a block is unlinked, so a name alone could
+    serve a worker an evicted plan's cached shard; serials never repeat
+    within the publishing process.
+    """
 
     name: str
     offsets: Tuple[int, ...]
+    serial: int
 
     @property
     def total(self) -> int:
@@ -101,6 +113,7 @@ class IndexBlockHandle:
         return ShardDescriptor(
             dataset=dataset,
             indices_name=self.name,
+            indices_serial=self.serial,
             indices_total=self.total,
             start=self.offsets[ordinal],
             stop=self.offsets[ordinal + 1],
@@ -112,13 +125,15 @@ class ShardDescriptor:
     """One executor task's worth of addressing: *which* slice of *which*
     published dataset a worker should solve, with zero point payload.
 
-    ``resolve()`` turns the descriptor back into the engine's usual parallel
-    lists (coords / weights / colors), bit-identical to the lists the parent
-    would have pickled, using the calling process's attachment cache.
+    ``resolve()`` turns the descriptor back into the shard's coords /
+    weights / colors, exactly as the in-process executors' array payload
+    of the same shard resolves, using the calling process's attachment
+    cache.
     """
 
     dataset: DatasetHandle
     indices_name: str
+    indices_serial: int
     indices_total: int
     start: int
     stop: int
@@ -132,17 +147,14 @@ class ShardDescriptor:
         """Materialise ``(coords, weights, colors)`` for this shard from the
         shared segments (cached per process; see :data:`_MATERIALIZED_BUDGET`).
 
-        With ``arrays=False`` the coordinate tuples are rebuilt by zipping
-        per-axis ``tolist()`` columns -- all C-level, ~3x cheaper than a
-        pickle round-trip of the same payload and bit-identical to it
-        (``float64 -> float`` is exact).  With ``arrays=True`` the shard
-        stays NumPy all the way: ``coords`` is the fancy-indexed ``(m, dim)``
-        float64 slice and ``weights`` the matching ``(m,)`` slice, which the
-        array-aware solvers (exact weighted interval / rectangle / disk)
-        accept without any per-point normalisation -- the zero-copy hot
-        path.  Values are identical either way; only the container differs.
+        The slice resolves through :meth:`repro.engine.sharding.ShardArrays.resolve`,
+        the same call the in-process executors' array payloads make, so
+        every executor materialises a shard identically: tuple and float
+        lists with ``arrays=False`` (bit-identical to the parent's data,
+        ``float64 -> float`` is exact), or the fancy-indexed float64 slices
+        with ``arrays=True`` -- the solvers' ``prefer_arrays`` fast path.
         """
-        key = (self.dataset.token, self.indices_name, self.start, self.stop,
+        key = (self.dataset.token, self.indices_serial, self.start, self.stop,
                arrays)
         cached = _MATERIALIZED.get(key)
         if cached is not None:
@@ -150,24 +162,15 @@ class ShardDescriptor:
             return cached
         handle = self.dataset
         coords_arr, weights_arr, codes_arr = _attach_dataset(handle)
-        indices_arr = _attached_array(self.indices_name, (self.indices_total,),
-                                      np.int64)
-        idx = indices_arr[self.start:self.stop]
-        shard_coords = coords_arr[idx]
-        shard_weights = weights_arr[idx] if weights_arr is not None else None
-        if arrays:
-            resolved = (shard_coords, shard_weights, None)
-            _materialized_put(key, resolved, len(shard_coords))
-            return resolved
-        coords = list(zip(*(shard_coords[:, axis].tolist()
-                            for axis in range(handle.dim))))
-        weights = shard_weights.tolist() if shard_weights is not None else None
-        colors = None
-        if codes_arr is not None:
-            palette = handle.palette
-            colors = [palette[code] for code in codes_arr[idx].tolist()]
-        resolved = (coords, weights, colors)
-        _materialized_put(key, resolved, len(coords))
+        idx = _read_index_slice(self.indices_name, self.indices_total,
+                                self.start, self.stop)
+        resolved = ShardArrays(
+            coords=coords_arr[idx],
+            weights=None if weights_arr is None else weights_arr[idx],
+            codes=None if codes_arr is None else codes_arr[idx],
+            palette=handle.palette,
+        ).resolve(arrays)
+        _materialized_put(key, resolved, len(idx))
         return resolved
 
 
@@ -226,6 +229,24 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
         return shared_memory.SharedMemory(name=name)
 
 
+def _read_index_slice(name: str, total: int, start: int, stop: int) -> np.ndarray:
+    """Copy ``[start, stop)`` out of index block ``name``, then detach.
+
+    Index blocks are not kept attached: the engine unlinks a block when its
+    plan leaves the memo, and no process should keep an evicted block's
+    mapping alive.  Repeat solves of a shard hit the materialisation cache
+    and never attach at all.
+    """
+    segment = _attach_segment(name)
+    try:
+        block = np.ndarray((total,), dtype=np.int64, buffer=segment.buf)
+        idx = block[start:stop].copy()
+        del block  # release the exported buffer so close() succeeds
+    finally:
+        segment.close()
+    return idx
+
+
 def _attached_array(name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
     """A NumPy view over segment ``name`` (attached and cached on first use)."""
     segment = _SEGMENTS.get(name)
@@ -280,15 +301,33 @@ def _evict_attachment(name: str) -> None:
             pass
 
 
-def _evict_materialized(token: str) -> None:
+def _evict_materialized(ident, field: int = 0) -> None:
+    """Drop cached shards of one dataset (``field=0``: its token) or of one
+    index block (``field=1``: the block's serial)."""
     global _MATERIALIZED_POINTS
-    for key in [k for k in _MATERIALIZED if k[0] == token]:
+    for key in [k for k in _MATERIALIZED if k[field] == ident]:
         _MATERIALIZED_POINTS -= len(_MATERIALIZED.pop(key)[0])
+
+
+def _close_and_unlink(segment: shared_memory.SharedMemory) -> None:
+    try:
+        segment.close()
+    except Exception:  # pragma: no cover - platform close quirks
+        pass
+    try:
+        segment.unlink()
+    except FileNotFoundError:  # pragma: no cover - already removed
+        pass
 
 
 # --------------------------------------------------------------------------- #
 # the store
 # --------------------------------------------------------------------------- #
+
+#: Source of :attr:`IndexBlockHandle.serial`.  Shared by every store of this
+#: process rather than kept per store, so a serial cannot repeat even under a
+#: dataset token (a segment name) the OS handed out again.
+_BLOCK_SERIALS = itertools.count()
 
 #: Stores created (and not yet destroyed) by this process; the atexit hook
 #: unlinks whatever their owners forgot.  Weak so normal release + gc wins.
@@ -346,7 +385,8 @@ class SharedDatasetStore:
         self._refcount = 1
         self._closed = False
         self._segments: List[shared_memory.SharedMemory] = []
-        self._index_blocks: List[shared_memory.SharedMemory] = []
+        #: Published index blocks by serial (see :meth:`publish_index_block`).
+        self._index_blocks: Dict[int, shared_memory.SharedMemory] = {}
 
         n, dim = coords_arr.shape
         coords_seg, coords_view = self._create(coords_arr)
@@ -360,22 +400,11 @@ class SharedDatasetStore:
         colors_seg = None
         palette: Optional[Tuple[Hashable, ...]] = None
         if colors is not None:
-            color_list = list(colors)
-            if len(color_list) != n:
+            codes, palette = encode_colors(colors)
+            if codes.shape != (n,):
                 raise ValueError(
-                    "got %d colors for %d points" % (len(color_list), n))
-            code_of: Dict[Hashable, int] = {}
-            palette_list: List[Hashable] = []
-            codes = np.empty(n, dtype=np.int64)
-            for i, color in enumerate(color_list):
-                code = code_of.get(color)
-                if code is None:
-                    code = len(palette_list)
-                    code_of[color] = code
-                    palette_list.append(color)
-                codes[i] = code
+                    "got %d colors for %d points" % (codes.size, n))
             colors_seg, _ = self._create(codes)
-            palette = tuple(palette_list)
 
         self._handle = DatasetHandle(
             token=coords_seg.name,
@@ -408,28 +437,39 @@ class SharedDatasetStore:
         self._require_open()
         return self._handle
 
-    def publish_index_block(
-        self, shard_indices: Sequence[Sequence[int]]
-    ) -> IndexBlockHandle:
-        """Publish one sharding plan's per-shard point indices as a single
-        extra segment and return its :class:`IndexBlockHandle`.
+    def publish_index_block(self, offsets: Sequence[int],
+                            indices: Sequence[int]) -> IndexBlockHandle:
+        """Publish one sharding plan's CSR index block -- the ``offsets`` and
+        flat ``indices`` a :class:`repro.engine.ShardPlan` holds, shard ``i``
+        owning ``indices[offsets[i]:offsets[i + 1]]`` -- as a single extra
+        segment and return its :class:`IndexBlockHandle`.
 
-        The block is owned by the store and unlinked with it; publishing the
-        same plan twice is the caller's (memoised) concern.
+        The block is owned by the store and unlinked with it (or earlier, by
+        :meth:`release_index_block`); publishing the same plan twice is the
+        caller's (memoised) concern.
         """
         self._require_open()
-        offsets = [0]
-        for indices in shard_indices:
-            offsets.append(offsets[-1] + len(indices))
-        flat = np.empty(offsets[-1], dtype=np.int64)
-        for ordinal, indices in enumerate(shard_indices):
-            flat[offsets[ordinal]:offsets[ordinal + 1]] = indices
+        flat = np.asarray(indices, dtype=np.int64)
         segment = shared_memory.SharedMemory(create=True,
                                              size=max(1, flat.nbytes))
         np.ndarray(flat.shape, dtype=flat.dtype, buffer=segment.buf)[...] = flat
         with self._lock:
-            self._index_blocks.append(segment)
-        return IndexBlockHandle(name=segment.name, offsets=tuple(offsets))
+            serial = next(_BLOCK_SERIALS)
+            self._index_blocks[serial] = segment
+        return IndexBlockHandle(name=segment.name,
+                                offsets=tuple(int(o) for o in offsets),
+                                serial=serial)
+
+    def release_index_block(self, block: IndexBlockHandle) -> None:
+        """Unlink one published index block before the store itself goes
+        (idempotent).  Descriptors into the block must not be resolved
+        afterwards; cached shards materialised from it are dropped here."""
+        with self._lock:
+            segment = self._index_blocks.pop(block.serial, None)
+        if segment is None:
+            return
+        _evict_materialized(block.serial, field=1)
+        _close_and_unlink(segment)
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -457,7 +497,8 @@ class SharedDatasetStore:
         """Names of every segment this store currently owns (dataset arrays
         plus published index blocks) -- the leak tests' ground truth."""
         with self._lock:
-            return tuple(s.name for s in self._segments + self._index_blocks)
+            return tuple(s.name for s in
+                         self._segments + list(self._index_blocks.values()))
 
     def _require_open(self) -> None:
         if self._closed:
@@ -522,9 +563,9 @@ class SharedDatasetStore:
             if self._closed:
                 return
             self._closed = True
-            segments = self._segments + self._index_blocks
+            segments = self._segments + list(self._index_blocks.values())
             self._segments = []
-            self._index_blocks = []
+            self._index_blocks = {}
         # Drop our NumPy views first: a segment with exported buffers raises
         # BufferError on close, and unlink alone would leave the mapping.
         self.coords = None
@@ -532,14 +573,7 @@ class SharedDatasetStore:
         _evict_materialized(self._handle.token)
         for segment in segments:
             _evict_attachment(segment.name)
-            try:
-                segment.close()
-            except Exception:  # pragma: no cover - platform close quirks
-                pass
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already removed
-                pass
+            _close_and_unlink(segment)
         _LIVE_STORES.discard(self)
 
     def __repr__(self) -> str:

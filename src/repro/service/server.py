@@ -23,9 +23,10 @@ pipeline the rest of this package provides:
    the serving differential guarantee), ``routing="sharded"`` flushes them
    as one :meth:`~repro.engine.QueryEngine.solve_batch` (parallel across
    queries and shards; equal optimum values, possibly different equally
-   optimal placements), and ``routing="auto"`` consults
-   :meth:`~repro.engine.QueryEngine.batch_plan` to shard only the
-   quadratic-cost queries where sharding cuts total work.  Either way
+   optimal placements), and ``routing="auto"`` shards only the
+   quadratic-cost queries (colored rectangles and boxes), where sharding
+   cuts total work, planning just those with
+   :meth:`~repro.engine.QueryEngine.batch_plan`.  Either way
    ``backend="auto"`` is resolved once per micro-batch
    (:func:`repro.kernels.resolve_batch_backend`), and the concrete query
    served is recorded on the response.
@@ -128,11 +129,13 @@ class MaxRSService:
         solver yourself.  ``"sharded"``: they flush through
         :meth:`~repro.engine.QueryEngine.solve_batch` (sharded + parallel;
         same optimum values, possibly different equally optimal placements).
-        ``"auto"``: plan-aware -- the flush is planned with
-        :meth:`~repro.engine.QueryEngine.batch_plan` and only the queries
-        whose :attr:`~repro.engine.Query.cost_class` is ``"quadratic"``
-        (where sharding cuts *total* work, not just wall-clock) go through
-        the sharded engine; the rest stay on bit-identical direct calls.
+        ``"auto"``: only the queries whose
+        :attr:`~repro.engine.Query.cost_class` is ``"quadratic"`` (colored
+        rectangles and boxes, where sharding cuts *total* work, not just
+        wall-clock) are planned with
+        :meth:`~repro.engine.QueryEngine.batch_plan` and go through the
+        sharded engine; the rest stay on bit-identical direct calls and
+        build no plan.
     cache_ttl, cache_size:
         The TTL'd result cache (seconds / entries).
     max_batch:
@@ -516,19 +519,22 @@ class MaxRSService:
                     "auto", len(self._engine), len(misses)))
             concrete.append(query)
         solver_calls = 0
-        flush: List[int] = []  # indices into misses routed through solve_batch
-        if self.routing != "direct":
+        # Indices into misses routed through solve_batch: all of them under
+        # "sharded"; under "auto" only the quadratic-cost queries, where
+        # sharding cuts total work.  Only those are planned.
+        flush: List[int] = []
+        if self.routing == "sharded":
+            flush = list(range(len(concrete)))
+        elif self.routing == "auto":
+            flush = [index for index, query in enumerate(concrete)
+                     if query.cost_class == "quadratic"]
+        if flush:
             try:
-                plan = self._engine.batch_plan(concrete)
+                plan = self._engine.batch_plan([concrete[i] for i in flush])
             except ValueError:
-                plan = None  # a malformed query: fall back to per-query calls
-            if plan is not None:
+                flush = []  # a malformed query: fall back to per-query calls
+            else:
                 self.stats.planned_shard_tasks += plan.shard_tasks
-                if self.routing == "sharded":
-                    flush = list(range(len(concrete)))
-                else:  # "auto": plan-aware — shard only where it cuts work
-                    flush = [index for index, query in enumerate(concrete)
-                             if plan.cost_classes.get(query, "") == "quadratic"]
         if flush:
             try:
                 results = self._engine.solve_batch([concrete[i] for i in flush])

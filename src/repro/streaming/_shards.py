@@ -10,11 +10,10 @@ stale.  Insertions come in two flavours with identical semantics:
 
 * :meth:`insert` -- one observation, tile keys via
   :func:`repro.engine.sharding.tile_keys_for_point`;
-* :meth:`insert_batch` -- a run of observations whose tile keys are computed
-  in one vectorised NumPy pass (two ``floor`` array ops for the whole run
-  instead of per-point float math); because tile sides are clamped to at
-  least twice the halo, each point lands in at most four tiles and the key
-  set per point is the 2 x 2 corner product.
+* :meth:`insert_batch` -- a run of observations whose tile keys come from
+  the planner's vectorised pass
+  (:func:`repro.engine.sharding.tile_keys_for_points`: two ``floor`` array
+  ops for the whole run instead of per-point float math).
 
 The store knows nothing about solvers, windows or results caches -- the
 monitors own those -- it only guarantees that every tile whose point set
@@ -27,7 +26,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..engine.sharding import tile_keys_for_point
+from ..engine.sharding import tile_keys_for_point, tile_keys_for_points
 
 __all__ = ["LiveShardStore"]
 
@@ -51,7 +50,8 @@ class LiveShardStore:
     sides:
         Per-axis tile sides; must be at least ``2 * halo`` per axis (the
         monitors clamp before constructing the store), which caps the
-        replication factor at four tiles per point.
+        replication at two tiles per axis -- three at float boundaries when
+        a side equals ``2 * halo``.
     """
 
     def __init__(self, halo: Tuple[float, float], sides: Tuple[float, float]):
@@ -120,24 +120,15 @@ class LiveShardStore:
         array = np.asarray([tuple(p) for p in points], dtype=float)
         if array.ndim != 2 or array.shape[1] != 2:
             raise ValueError("sharded monitors expect planar points")
-        # Vectorised restatement of tile_keys_for_point's per-axis range
-        # floor((x - h) / side) .. floor((x + h) / side); with sides >= 2h
-        # the range has at most two values, so the key set is the 2 x 2
-        # corner product.  tests/test_streaming_batch.py pins the two paths
-        # to identical keys.
-        halo = np.asarray(self.halo)
-        sides = np.asarray(self.sides)
-        lo = np.floor((array - halo) / sides).astype(int)
-        hi = np.floor((array + halo) / sides).astype(int)
-        for row in range(count):
+        # The planner's vectorised key pass: every key tile_keys_for_point
+        # gives, including the third tile per axis a boundary point reaches
+        # when a side equals twice the halo.  tests/test_streaming_batch.py
+        # pins the two paths to identical keys.
+        key_lists = tile_keys_for_points(array, self.halo, self.sides)
+        for row, keys in enumerate(key_lists):
             point = (float(array[row, 0]), float(array[row, 1]))
             weight = float(weights[row]) if weights is not None else 1.0
             color = colors[row] if colors is not None else None
-            lx, ly = int(lo[row, 0]), int(lo[row, 1])
-            hx, hy = int(hi[row, 0]), int(hi[row, 1])
-            keys = [(kx, ky)
-                    for kx in ((lx,) if lx == hx else (lx, hx))
-                    for ky in ((ly,) if ly == hy else (ly, hy))]
             self._file_under(handles[row], (point, weight, color), keys)
 
     def remove(self, handle: int) -> List[Key]:

@@ -10,6 +10,7 @@ semantics, sharding invariants and the dirty-shard streaming monitor.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,8 +35,10 @@ from repro.engine import (
     get_executor,
     merge_shard_results,
     plan_shards,
+    solve_query,
     tile_keys_for_point,
 )
+from repro.engine.sharding import ShardArrays, encode_colors
 from repro.exact import (
     colored_maxrs_disk_sweep,
     maxrs_disk_exact,
@@ -64,6 +67,12 @@ def workload(kind, n, seed):
 # sharding
 # --------------------------------------------------------------------------- #
 
+def shard_lists(plan):
+    """``(key, indices)`` per shard, in plan order, as plain lists."""
+    return [(tuple(key), plan.shard_indices(ordinal).tolist())
+            for ordinal, key in enumerate(plan.keys.tolist())]
+
+
 class TestSharding:
     def test_every_point_is_in_its_anchor_tile_shard(self):
         points = uniform_points(120, dim=2, extent=10.0, seed=1)
@@ -72,15 +81,15 @@ class TestSharding:
             anchor_key = tuple(
                 int(math.floor(c / side)) for c, side in zip(point, plan.tile_sides)
             )
-            shard = next(s for s in plan.shards if s.key == anchor_key)
-            assert index in shard.indices
+            indices = next(i for key, i in shard_lists(plan) if key == anchor_key)
+            assert index in indices
 
     def test_halo_covering_property(self):
         """Any point within the halo of an anchor in tile T belongs to shard T."""
         points = uniform_points(80, dim=2, extent=6.0, seed=2)
         halo = (1.0, 1.0)
         plan = plan_shards(points, halo, target_shards=9)
-        by_key = {s.key: set(s.indices) for s in plan.shards}
+        by_key = {key: set(indices) for key, indices in shard_lists(plan)}
         anchors = uniform_points(40, dim=2, extent=6.0, seed=3)
         for anchor in anchors:
             key = tuple(int(math.floor(c / side)) for c, side in zip(anchor, plan.tile_sides))
@@ -95,17 +104,25 @@ class TestSharding:
         plan = plan_shards(points, (0.5, 0.5), target_shards=25)
         # tile sides >= 2 * halo caps replication at 2 per axis = 4 in the plane
         assert 1.0 <= plan.replication <= 4.0
-        assert sum(len(s) for s in plan.shards) >= len(points)
+        assert len(plan.indices) >= len(points)
 
     def test_weights_and_colors_travel_with_points(self):
+        """A shard's payload -- its index slice of the dataset columns --
+        resolves to exactly the indexed points' coords, weights and colors."""
         points, weights = uniform_weighted_points(50, dim=2, extent=5.0, seed=5)
-        colors = [i % 4 for i in range(50)]
-        plan = plan_shards(points, (1.0, 1.0), weights=weights, colors=colors)
-        for shard in plan.shards:
-            for position, index in enumerate(shard.indices):
-                assert shard.coords[position] == points[index]
-                assert shard.weights[position] == weights[index]
-                assert shard.colors[position] == colors[index]
+        colors = ["c%d" % (i % 4) for i in range(50)]
+        codes, palette = encode_colors(colors)
+        coords, weight_arr = np.asarray(points), np.asarray(weights)
+        plan = plan_shards(points, (1.0, 1.0))
+        for ordinal in range(len(plan)):
+            indices = plan.shard_indices(ordinal)
+            payload = ShardArrays(coords[indices], weight_arr[indices],
+                                  codes[indices], palette)
+            shard_coords, shard_weights, shard_colors = payload.resolve()
+            for position, index in enumerate(indices.tolist()):
+                assert shard_coords[position] == points[index]
+                assert shard_weights[position] == weights[index]
+                assert shard_colors[position] == colors[index]
 
     def test_tile_keys_for_point_near_boundary(self):
         # A point exactly on a tile edge with halo touching both neighbours.
@@ -121,6 +138,69 @@ class TestSharding:
     def test_empty_input(self):
         plan = plan_shards([], (1.0, 1.0))
         assert len(plan) == 0 and plan.replication == 0.0
+
+
+def reference_plan(points, halo, tile_sides):
+    """The per-point planner the vectorised one replaced: bucket every point
+    under each of its tile_keys_for_point keys, shards in key order."""
+    buckets = {}
+    for index, point in enumerate(points):
+        for key in tile_keys_for_point(point, halo, tile_sides):
+            buckets.setdefault(key, []).append(index)
+    return [(key, buckets[key]) for key in sorted(buckets)]
+
+
+def _clustered(seed):
+    return clustered_points(500, dim=2, extent=12.0, clusters=4, seed=seed)
+
+
+def _negative(seed):
+    return [(x - 20.0, y - 7.5)
+            for x, y in uniform_points(300, dim=2, extent=15.0, seed=seed)]
+
+
+def _boundary(seed):
+    # -1.5000000000000002 +- 0.1 floors three tiles apart at side 0.2, so
+    # the point also lands in the middle tile it lies in.
+    return [(-1.5000000000000002, 0.5), (-1.58, 0.5), (-1.42, 0.5),
+            (-0.2, -0.2), (0.0, 0.0), (0.2, 0.2)] + _negative(seed)[:40]
+
+
+class TestVectorisedPlanner:
+    """plan_shards' index block against the per-point reference: same keys,
+    same shard order, same indices per shard."""
+
+    @pytest.mark.parametrize("make, halo, tile_sides, target", [
+        (_clustered, (0.5, 0.5), None, 16),
+        (_clustered, (1.0, 0.3), None, 40),
+        (_clustered, (0.25, 0.25), (0.5, 0.5), 16),   # sides == 2 * halo
+        (_negative, (0.75, 0.75), None, 25),
+        (_negative, (0.1, 0.1), (0.2, 0.2), 16),      # sides == 2 * halo
+        (_boundary, (0.1, 0.1), (0.2, 0.2), 16),
+        (_boundary, (0.1, 0.1), None, 9),
+    ])
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_matches_per_point_reference(self, make, halo, tile_sides, target, seed):
+        points = make(seed)
+        plan = plan_shards(points, halo, tile_sides=tile_sides, target_shards=target)
+        expected = reference_plan(points, halo, plan.tile_sides)
+        assert shard_lists(plan) == expected
+        assert plan.keys.tolist() == [list(key) for key, _ in expected]
+        assert plan.offsets[-1] == len(plan.indices) == sum(len(i) for _, i in expected)
+
+    def test_boundary_point_lands_in_three_tiles_per_axis(self):
+        plan = plan_shards([(-1.5000000000000002, 0.5)], (0.1, 0.1),
+                           tile_sides=(0.2, 0.2))
+        assert plan.keys[:, 0].tolist() == [-9, -8, -7]
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_other_dimensions(self, dim):
+        rng = np.random.default_rng(dim)
+        points = [tuple(row) for row in rng.normal(0.0, 3.0, (200, dim)).tolist()]
+        halo = (0.4,) * dim
+        plan = plan_shards(points, halo, target_shards=27)
+        expected = reference_plan(points, halo, plan.tile_sides)
+        assert shard_lists(plan) == expected
 
 
 # --------------------------------------------------------------------------- #
@@ -240,6 +320,48 @@ class TestEngineApproximateGuarantees:
 # --------------------------------------------------------------------------- #
 # planner serving behaviour
 # --------------------------------------------------------------------------- #
+
+class TestColumnarDataset:
+    """The engine holds its dataset as arrays: NumPy-bound direct solves
+    take them as-is and must answer exactly like the solver on tuple lists;
+    the lists are built once, only when a solver needs them."""
+
+    def test_numpy_bound_direct_solves_match_list_inputs(self):
+        points, weights = uniform_weighted_points(700, dim=2, extent=12.0, seed=91)
+        xs = [(x,) for x, _ in points]
+        cases = [
+            (points, weights, Query.rectangle(1.5, 1.0, backend="numpy")),
+            (points, weights, Query.disk(0.6, backend="numpy")),
+            (points, weights, Query.batched_rectangles([(1.0, 1.0), (2.0, 0.5)],
+                                                       backend="numpy")),
+            (xs, weights, Query.interval(0.8, backend="numpy")),
+        ]
+        for data, data_weights, query in cases:
+            reference = solve_query(query, list(data), list(data_weights), None)
+            with QueryEngine(data, weights=data_weights) as engine:
+                result = engine.solve_direct(query)
+                assert engine._lists is None  # the arrays went straight through
+            assert (result.value, result.center, result.meta) == \
+                (reference.value, reference.center, reference.meta), query.describe()
+
+    def test_lists_are_built_once_for_python_solvers(self):
+        points = clustered_points(80, dim=2, extent=6.0, seed=92)
+        with QueryEngine(points) as engine:
+            first = engine.solve_direct(Query.disk(1.0, backend="python"))
+            lists = engine._lists
+            assert lists is not None and lists[0] == list(points)
+            engine.solve_direct(Query.rectangle(1.0, 1.0, backend="python"))
+            assert engine._lists is lists
+        assert first.value == maxrs_disk_exact(points, radius=1.0, backend="python").value
+
+    def test_engine_does_not_alias_caller_arrays(self):
+        coords = np.array(uniform_points(60, dim=2, extent=5.0, seed=93))
+        with QueryEngine(coords) as engine:
+            before = engine.solve(Query.disk(1.0))
+            coords[:] = 0.0  # every point on top of each other
+            engine.clear_cache()
+            assert engine.solve(Query.disk(1.0)).value == before.value
+
 
 class TestCachingAndDedup:
     def test_repeat_query_is_a_cache_hit(self):
@@ -459,19 +581,26 @@ class TestBatchPlan:
             assert plan.unique == (disk, rect)
             assert plan.duplicates == 2
             assert plan.cached == ()
-            assert plan.shard_tasks == (len(engine.shard_plan(disk).shards)
-                                        + len(engine.shard_plan(rect).shards))
-            assert plan.cost_classes[disk] == "quadratic"
-            assert plan.cost_classes[rect] == "linearithmic"
+            assert plan.shard_tasks == (len(engine.shard_plan(disk))
+                                        + len(engine.shard_plan(rect)))
+            # neighbour-grid pruned disk sweeps shard coarsely, like the
+            # linearithmic sweeps; only the unpruned colored sweeps are
+            # quadratic
+            assert disk.cost_class == "linearithmic"
+            assert rect.cost_class == "linearithmic"
+            assert Query.colored_disk(1.0).cost_class == "linearithmic"
+            assert Query.colored_rectangle(1.0, 1.0).cost_class == "quadratic"
+            assert Query.colored_box3d(1.0, 1.0, 1.0).cost_class == "quadratic"
 
     def test_plan_sees_cached_results_without_touching_counters(self):
         with self._engine() as engine:
             disk = Query.disk(1.0)
             engine.solve(disk)
             before = dict(engine.stats)
-            plan = engine.batch_plan([disk, Query.rectangle(1.0, 1.0)])
+            rect = Query.rectangle(1.0, 1.0)
+            plan = engine.batch_plan([disk, rect])
             assert plan.cached == (disk,)
-            assert disk not in plan.cost_classes
+            assert plan.shard_tasks == len(engine.shard_plan(rect))
             # peeking must not perturb the cache hit/miss statistics
             assert engine.stats["cache_hits"] == before["cache_hits"]
             assert engine.stats["cache_misses"] == before["cache_misses"]

@@ -219,7 +219,7 @@ class TestDisabledPath:
             started = time.perf_counter()
             engine.solve(query)
             solve_seconds = time.perf_counter() - started
-            shards = len(engine.shard_plan(query).shards)
+            shards = len(engine.shard_plan(query))
 
         calls = 20000
         started = time.perf_counter()

@@ -17,12 +17,14 @@ Three ways a shared-memory design rots, each pinned here:
 import os
 import subprocess
 import sys
+from multiprocessing import shared_memory
 
 import pytest
 
 from repro.datasets import uniform_weighted_points
 from repro.engine import Query, QueryEngine
-from repro.parallel import SharedDatasetStore, attached_segment_count
+from repro.parallel import (SharedDatasetStore, SharedMemoryProcessExecutor,
+                            attached_segment_count)
 from repro.parallel import store as store_module
 
 SHM_DIR = "/dev/shm"
@@ -32,6 +34,11 @@ needs_shm_dir = pytest.mark.skipif(not os.path.isdir(SHM_DIR),
 
 def segment_exists(name):
     return os.path.exists(os.path.join(SHM_DIR, name))
+
+
+def _resolve_coords(descriptor):
+    """Worker task: the coordinates a shard descriptor resolves to."""
+    return descriptor.resolve()[0]
 
 
 class TestSegmentLifecycle:
@@ -54,7 +61,7 @@ class TestSegmentLifecycle:
     def test_context_exit_unlinks_store(self):
         points, _ = uniform_weighted_points(100, dim=2, extent=8.0, seed=802)
         with SharedDatasetStore(points) as store:
-            block = store.publish_index_block([[0, 1, 2], [3, 4]])
+            block = store.publish_index_block([0, 3, 5], [0, 1, 2, 3, 4])
             names = store.segment_names()
             assert block.shard_count == 2 and block.total == 5
             assert all(segment_exists(n) for n in names)
@@ -87,6 +94,56 @@ class TestSegmentLifecycle:
         del store
         gc.collect()
         assert not any(segment_exists(n) for n in names)
+
+    @needs_shm_dir
+    def test_plan_memo_evicts_and_unlinks_index_blocks(self):
+        """200 distinct extents must not leave 200 plans and index-block
+        segments behind: the plan memo is an LRU bounded by indexed points,
+        and evicting a plan unlinks its block."""
+        points, weights = uniform_weighted_points(300, dim=2, extent=10.0,
+                                                  seed=809)
+        budget = 16 * len(points)
+        attached = attached_segment_count()
+        with QueryEngine(points, weights=weights, executor="shared-process",
+                         workers=2, cache_size=0) as engine:
+            dataset_segments = set(engine.store.segment_names())
+            engine.solve(Query.rectangle(1.0, 1.0))
+            first_blocks = set(engine.store.segment_names()) - dataset_segments
+            for index in range(200):
+                engine.solve(Query.rectangle(1.0 + 0.01 * index, 1.5))
+                blocks = set(engine.store.segment_names()) - dataset_segments
+                plans = list(engine._plans.values())
+                assert len(blocks) <= len(plans)
+                assert sum(len(plan.indices) for plan in plans) <= budget
+            assert len(blocks) < 20
+            assert not any(segment_exists(n) for n in first_blocks)
+            assert all(segment_exists(n) for n in blocks | dataset_segments)
+            # index blocks are never kept attached
+            assert attached_segment_count() <= attached + len(dataset_segments)
+
+    @needs_shm_dir
+    def test_reused_block_name_resolves_new_indices(self, monkeypatch):
+        """Segment names come back into use once a block is unlinked.  A
+        block re-published under an evicted block's name must resolve to
+        its own indices in a worker that cached the old block's shards."""
+        points, _ = uniform_weighted_points(40, dim=2, extent=8.0, seed=810)
+        with SharedDatasetStore(points) as store, \
+                SharedMemoryProcessExecutor(workers=1, store=store) as executor:
+            reused = shared_memory._SHM_NAME_PREFIX + "t%08x" % (os.getpid() & 0xffffffff)
+            monkeypatch.setattr(shared_memory, "_make_filename", lambda: reused)
+            dataset = store.handle()
+            old = store.publish_index_block([0, 2, 4], [0, 1, 2, 3])
+            assert executor.map(
+                _resolve_coords, [old.descriptor(dataset, i) for i in range(2)]
+            ) == [points[0:2], points[2:4]]
+            store.release_index_block(old)
+            new = store.publish_index_block([0, 2, 4], [10, 11, 12, 13])
+            assert new.name == old.name and new.serial != old.serial
+            store.release_index_block(old)  # stale handle: the new block stays
+            assert segment_exists(new.name)
+            resolved = executor.map(
+                _resolve_coords, [new.descriptor(dataset, i) for i in range(2)])
+            assert resolved == [points[10:12], points[12:14]]
 
     def test_double_close_of_engine_is_idempotent(self):
         points, _ = uniform_weighted_points(60, dim=2, extent=8.0, seed=804)
@@ -148,8 +205,8 @@ class TestBoundedCaches:
                                                   seed=807)
         def cycle():
             with SharedDatasetStore(points, weights=weights) as store:
-                block = store.publish_index_block(
-                    [list(range(0, 10_000)), list(range(10_000, 20_000))])
+                block = store.publish_index_block([0, 10_000, 20_000],
+                                                  range(20_000))
                 # materialise both shards in this process (the inline path)
                 for ordinal in range(block.shard_count):
                     block.descriptor(store.handle(), ordinal).resolve()

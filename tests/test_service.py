@@ -241,27 +241,43 @@ class TestStaticServing:
                 assert a.result.value == b.result.value
 
     def test_auto_routing_shards_only_quadratic_queries(self):
-        """routing='auto' consults QueryEngine.batch_plan: the quadratic disk
-        sweep flushes through the sharded engine, the linearithmic rectangle
-        stays on the bit-identical direct path."""
+        """routing='auto' shards only the quadratic-cost queries -- colored
+        rectangles and colored 3-d boxes -- and plans nothing else: exact
+        disks (whose sweeps prune with a neighbour grid) and rectangles stay
+        on the bit-identical direct path without building a shard plan."""
+        from repro.datasets import trajectory_colored_points
+
         disk, rect = Query.disk(1.0), Query.rectangle(2.0, 2.0)
-        with MaxRSService(POINTS, routing="auto") as service:
+        colored_rect = Query.colored_rectangle(2.0, 2.0)
+        with MaxRSService(POINTS, colors=COLORS, routing="auto") as service:
             responses = service.serve([ServiceRequest.static(disk),
                                        ServiceRequest.static(rect)])
-            engine_stats = service.engine.stats
-            snapshot = service.snapshot()
+            # nothing went through solve_batch (solve_direct does not count)
+            # and nothing was planned
+            assert service.engine.stats["queries"] == 0
+            assert service.snapshot()["planned_shard_tasks"] == 0
+            colored = service.request(ServiceRequest.static(colored_rect))
+            assert service.engine.stats["queries"] == 1
+            assert service.snapshot()["planned_shard_tasks"] > 0
         assert all(r.ok for r in responses)
-        # only the disk went through solve_batch (solve_direct does not count)
-        assert engine_stats["queries"] == 1
-        assert snapshot["planned_shard_tasks"] > 0
-        # the direct-routed rectangle keeps the bit-identical guarantee
-        reference = solve_query(responses[1].served_query, list(POINTS), None, None)
-        assert (reference.value, reference.center) == (
-            responses[1].result.value, responses[1].result.center)
-        # the sharded disk still reports the exact optimum value
-        disk_reference = solve_query(responses[0].served_query, list(POINTS),
-                                     None, None)
-        assert disk_reference.value == responses[0].result.value
+        # the direct-routed disk and rectangle keep the bit-identical guarantee
+        for response in responses:
+            reference = solve_query(response.served_query, list(POINTS), None, None)
+            assert (reference.value, reference.center) == (
+                response.result.value, response.result.center)
+        # the sharded colored rectangle still reports the exact optimum value
+        assert colored.result.meta["sharded"]
+        assert colored.result.value == solve_query(
+            colored.served_query, list(POINTS), None, COLORS).value
+
+        points, colors = trajectory_colored_points(6, samples_per_entity=10,
+                                                   dim=3, extent=5.0, seed=4)
+        box = Query.colored_box3d(1.5, 1.5, 1.5)
+        with MaxRSService(points, colors=colors, routing="auto") as service:
+            response = service.request(ServiceRequest.static(box))
+            assert service.engine.stats["queries"] == 1
+        assert response.result.meta["sharded"]
+        assert response.result.value == solve_query(box, points, None, colors).value
 
     def test_coalescing_and_caching(self):
         query = ServiceRequest.static(Query.disk(1.0))

@@ -11,6 +11,7 @@ on every query, and check ``observe_batch`` against an ``observe`` loop.
 import pytest
 
 from repro.engine import Query
+from repro.exact import maxrs_disk_exact
 from repro.streaming import (
     ApproximateMaxRSMonitor,
     ExactRecomputeMonitor,
@@ -162,6 +163,26 @@ def test_batch_tile_keys_match_engine_tiling():
     for index, point in enumerate(points):
         expected = sorted(tile_keys_for_point(point, halo, sides))
         assert sorted(batched.membership[index]) == expected, point
+
+    # With sides equal to twice the halo, floor((x - h) / side) and
+    # floor((x + h) / side) can land two tiles apart at float boundaries:
+    # the point also belongs to the tile between them, its own.
+    halo, sides = (0.1, 0.1), (0.2, 0.2)
+    boundary = [(-1.5000000000000002, 0.5), (-1.58, 0.5), (-1.42, 0.5)]
+    far = [(5.0 + 0.5 * i, 5.0) for i in range(40)]
+    batched = LiveShardStore(halo, sides)
+    batched.insert_batch(list(range(len(boundary + far))), boundary + far)
+    for index, point in enumerate(boundary + far):
+        expected = sorted(tile_keys_for_point(point, halo, sides))
+        assert sorted(batched.membership[index]) == expected, point
+    assert len(batched.membership[0]) == 3
+
+    one, many = (ShardedMaxRSMonitor(radius=0.1, tile_side=0.2) for _ in range(2))
+    for point in boundary + far:
+        one.observe(point)
+    many.observe_batch(boundary + far)
+    exact = maxrs_disk_exact(boundary + far, radius=0.1).value
+    assert many.current().value == one.current().value == exact == 3.0
 
 
 def test_observe_batch_validates_parallel_lists():
