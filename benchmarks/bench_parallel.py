@@ -2,8 +2,8 @@
 
 The workload declarations (the same exact-rectangle query batch replayed
 through the serial, pickle-based process-pool and zero-copy shared-memory
-engines with the result cache disabled, bit-for-bit gates against serial,
-the shared-process-beats-process gate, and the per-phase span probe) live
+engines, bit-for-bit checks against serial, the shared-process-beats-serial
+gate, and the per-phase span probe) live
 in :class:`repro.bench.suites.ParallelSuite`; this script runs that one
 suite and writes the unified ``repro-bench-grid/1`` artifact to
 ``BENCH_parallel.json``::
@@ -14,7 +14,7 @@ suite and writes the unified ``repro-bench-grid/1`` artifact to
 Equivalent to ``repro bench grid --suite parallel``; see
 ``docs/benchmarks.md`` for the schema and the regression workflow.
 Exits non-zero if any answer differs from serial or shared-process fails
-to beat the pickle-based backend.
+to beat serial.
 """
 
 from __future__ import annotations

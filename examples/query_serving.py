@@ -1,4 +1,4 @@
-"""Query serving: a mixed request stream through the concurrent front end.
+"""Query serving: a mixed request stream through the serving core.
 
 Mirrors ``examples/sharded_engine.py`` for the serving layer
 (:mod:`repro.service`).  A :class:`~repro.service.MaxRSService` fronts a
@@ -38,8 +38,7 @@ def main() -> None:
     print("Serving %d static points plus a live radius-0.5 hotspot monitor"
           % len(points))
 
-    with MaxRSService(points, monitor=monitor, cache_ttl=300.0,
-                      max_batch=WINDOW) as service:
+    with MaxRSService(points, monitor=monitor, cache_ttl=300.0) as service:
         # ------------------------------------------------------------- #
         # One flush window, mixed kinds, with an update barrier.
         # ------------------------------------------------------------- #

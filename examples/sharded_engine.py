@@ -5,12 +5,13 @@ Mirrors ``examples/quickstart.py`` for the execution-engine layer
 :class:`~repro.engine.planner.QueryEngine`, which spatially shards the data
 with a halo matched to each query's extent, fans the shards out over a
 thread pool, merges the per-shard optima (exactly -- see
-``repro/engine/sharding.py`` for the argument) and caches every answer in an
-LRU keyed by dataset fingerprint + query parameters.  The script shows:
+``repro/engine/sharding.py`` for the argument).  The engine keeps no
+answers; caching is the serving layer's job (``examples/query_serving.py``).
+The script shows:
 
 * a heterogeneous batch (exact disk, exact rectangle, approximate ball, and
   a duplicate) solved in one call, with the duplicate deduplicated;
-* the cache serving a re-issued batch without touching a solver;
+* the shard tasks one batch submits, counted by the engine;
 * a colored engine answering entity-coverage queries over trajectories;
 * agreement with the direct (unsharded) solver calls.
 
@@ -52,13 +53,7 @@ def main() -> None:
 
         stats = engine.stats
         print("planner stats: %d queries, %d unique solved, %d shard tasks"
-              % (stats["queries"], stats["cache_misses"], stats["shards_solved"]))
-
-        # Re-issue the same batch: every answer now comes from the LRU cache.
-        engine.solve_batch(batch)
-        stats = engine.stats
-        print("after re-issuing the batch: %d cache hits, still %d shard tasks"
-              % (stats["cache_hits"], stats["shards_solved"]))
+              % (stats["queries"], len(set(batch)), stats["shards_solved"]))
 
         # The sharded answers are the true optima, not approximations of them.
         direct = engine.solve_direct(Query.disk(1.0))

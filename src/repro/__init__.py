@@ -27,7 +27,7 @@ On top of the paper's algorithms the package grows a serving stack
   a registry every solver's ``backend=`` argument selects from.
 * **Sharded execution engine** (:mod:`repro.engine`) -- :class:`QueryEngine`
   serves heterogeneous :class:`Query` batches over one dataset: halo
-  sharding, pluggable executors, deduplication and an LRU result cache.
+  sharding, pluggable executors and in-batch deduplication.
 * **Zero-copy process execution** (:mod:`repro.parallel`) --
   :class:`SharedDatasetStore` publishes a dataset once as OS shared-memory
   arrays and :class:`SharedMemoryProcessExecutor` runs persistent,

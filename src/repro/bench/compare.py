@@ -16,7 +16,9 @@ mode) and compares the current artifact's ``gates`` against it:
   that fires inside the jitter band would train everyone to ignore it.
 
 A failed correctness check in the current artifact is always a failure,
-band or no band.  :func:`self_test` proves the comparator can actually fail
+band or no band, and so is a baseline gate the current run does not
+report: a renamed or dropped gate would otherwise compare nothing and
+pass.  :func:`self_test` proves the comparator can actually fail
 by synthesising a baseline from the current artifact and injecting a
 regression twice the noise band -- CI runs it so a silently broken
 comparator cannot keep passing.
@@ -59,15 +61,19 @@ def metric_direction(name: str) -> int:
 
 @dataclass
 class Regression:
-    """One gate metric that moved beyond the noise band the wrong way."""
+    """One gate metric that moved beyond the noise band the wrong way, or
+    that the current run no longer reports (``current`` is ``None``)."""
 
     suite: str
     metric: str
     baseline: float
-    current: float
-    change: float  # signed relative change, positive = improved
+    current: Optional[float]
+    change: Optional[float]  # signed relative change, positive = improved
 
     def describe(self) -> str:
+        if self.current is None:
+            return ("%s/%s is missing from the current run (baseline %.3f)"
+                    % (self.suite, self.metric, self.baseline))
         return ("%s/%s regressed %.0f%% beyond the noise band: "
                 "baseline %.3f -> current %.3f"
                 % (self.suite, self.metric, -100.0 * self.change,
@@ -95,16 +101,20 @@ def latest_baselines(entries: Sequence[Dict[str, object]],
 def compare_gates(suite: str, baseline_gates: Dict[str, object],
                   current_gates: Dict[str, object],
                   noise: float) -> List[Regression]:
-    """Every gate metric present in both dicts that regressed beyond the
-    relative noise band, honouring each metric's direction."""
+    """Every numeric baseline gate metric that regressed beyond the relative
+    noise band, honouring each metric's direction, or that the current
+    gates lack (reported with ``current=None``)."""
     regressions: List[Regression] = []
     for metric, baseline_value in baseline_gates.items():
-        current_value = current_gates.get(metric)
         if (not isinstance(baseline_value, (int, float))
-                or not isinstance(current_value, (int, float))
-                or isinstance(baseline_value, bool)
-                or isinstance(current_value, bool)
-                or baseline_value == 0):
+                or isinstance(baseline_value, bool) or baseline_value == 0):
+            continue
+        current_value = current_gates.get(metric)
+        if (not isinstance(current_value, (int, float))
+                or isinstance(current_value, bool)):
+            regressions.append(Regression(
+                suite=suite, metric=metric, baseline=float(baseline_value),
+                current=None, change=None))
             continue
         change = (float(current_value) - float(baseline_value)) \
             / abs(float(baseline_value))

@@ -592,7 +592,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         with _trace_sink(args.trace_out):
             with MaxRSService(points, weights=weights, colors=colors, monitor=monitor,
                               routing=args.routing, cache_ttl=args.cache_ttl,
-                              cache_size=args.cache_size, max_batch=args.concurrency,
+                              cache_size=args.cache_size,
                               executor=args.executor, workers=args.workers) as service:
                 report = service.serve_trace(trace, window=args.concurrency)
                 snapshot = service.snapshot()
@@ -657,7 +657,7 @@ def _serve_listen(args: argparse.Namespace, points, weights, colors) -> int:
             with MaxRSService(points, weights=weights, colors=colors,
                               monitor=monitor, routing=args.routing,
                               cache_ttl=args.cache_ttl, cache_size=args.cache_size,
-                              max_batch=args.concurrency, executor=args.executor,
+                              executor=args.executor,
                               workers=args.workers) as service:
                 server = MaxRSServer(service, host, port,
                                      max_pending=args.max_pending,

@@ -9,9 +9,9 @@ turns them into a query *engine* that scales across cores and query batches:
 * :mod:`repro.engine.executors` -- pluggable serial / thread-pool /
   process-pool backends behind one ``map`` interface;
 * :mod:`repro.engine.planner` -- :class:`QueryEngine`, which routes
-  heterogeneous :class:`Query` batches to the right solvers, deduplicates
-  identical queries and caches results in an LRU keyed by dataset
-  fingerprint + query parameters;
+  heterogeneous :class:`Query` batches to the right solvers and
+  deduplicates identical queries within a batch (result caching is the
+  serving layer's job, :mod:`repro.service.cache`);
 * :mod:`repro.engine.merge` -- the shard-result reduction that preserves
   exactness and approximation guarantees.
 
@@ -34,7 +34,6 @@ from .executors import (
 from .merge import merge_shard_results
 from .planner import (
     BatchPlan,
-    LRUCache,
     Query,
     QueryEngine,
     dataset_fingerprint,
@@ -47,7 +46,6 @@ __all__ = [
     "BatchPlan",
     "Query",
     "QueryEngine",
-    "LRUCache",
     "dataset_fingerprint",
     "solve_query",
     "resolve_task_backend",

@@ -1,26 +1,28 @@
-"""The query engine: routing, deduplication, caching and sharded execution.
+"""The query engine: routing, deduplication and sharded execution.
 
 :class:`QueryEngine` turns the library's one-shot solver functions into a
 batch-serving engine over one dataset:
 
 * a :class:`Query` is a frozen, hashable description of what to solve --
   shape (disk / rectangle / interval), exact or approximate, weighted or
-  colored -- so identical queries deduplicate and cache for free;
+  colored -- so identical queries in a batch deduplicate for free (and
+  the serving layer's result cache, :mod:`repro.service.cache`, can key on
+  it);
 * the planner routes each query to the right solver (the same functions the
   rest of the library exposes), shards the dataset with a halo matched to
   the query's extent (:mod:`repro.engine.sharding`), runs the shards on a
   pluggable executor (:mod:`repro.engine.executors`) and folds the results
   back together (:mod:`repro.engine.merge`);
-* answers are cached in an LRU keyed by *dataset fingerprint + query*, so a
-  re-issued query is served without touching a solver, and shardings are
-  memoised per halo (in an LRU bounded by the points they index) so queries
-  with the same extent share the partitioning work.
+* shardings are memoised per halo (in an LRU bounded by the points they
+  index) so queries with the same extent share the partitioning work.  The
+  engine keeps no answers: every batch is solved, and a re-issued query is
+  re-solved unless a cache above the engine (the service's) answers it.
 
 The engine holds its dataset once, as columns: a contiguous float64
 ``(n, d)`` coordinate array, ``(n,)`` weights and int64 color codes plus a
 palette.  Solves bound for the NumPy kernels take array views; tuple lists
 are built once, on first need, for the pure-Python and colored solvers.
-Shard tasks from all cache-missing queries of a batch are flattened into one
+Shard tasks from all distinct queries of a batch are flattened into one
 task list before hitting the executor, so a batch parallelises across
 queries *and* shards at once; every executor runs the same task function.
 """
@@ -60,7 +62,6 @@ __all__ = [
     "BatchPlan",
     "Query",
     "QueryEngine",
-    "LRUCache",
     "dataset_fingerprint",
     "solve_query",
     "resolve_task_backend",
@@ -84,7 +85,7 @@ class Query:
     :meth:`decayed_disk` / :meth:`decayed_rectangle` /
     :meth:`decayed_interval` / :meth:`colored_box3d`) rather than the raw
     dataclass fields.  Being frozen and hashable is what lets the planner
-    deduplicate identical queries and key its result cache.
+    deduplicate identical queries and the service key its result cache.
 
     ``family`` selects the long-tail query families beyond a single
     placement: ``"topk"`` asks for ``k`` greedy disjoint placements,
@@ -591,64 +592,19 @@ def _solve_shard_task_traced(task):
 
 
 # --------------------------------------------------------------------------- #
-# caching
+# dataset identity and batch plans
 # --------------------------------------------------------------------------- #
-
-_MISSING = object()
-
-
-class LRUCache:
-    """A small least-recently-used map with hit / miss counters."""
-
-    def __init__(self, maxsize: int = 128):
-        if maxsize < 0:
-            raise ValueError("maxsize must be >= 0")
-        self.maxsize = maxsize
-        self._data: "OrderedDict" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def peek(self, key):
-        """Return the cached value without touching recency or the hit/miss
-        counters (used by non-mutating planning passes)."""
-        value = self._data.get(key, _MISSING)
-        return None if value is _MISSING else value
-
-    def get(self, key):
-        """Return the cached value (refreshing recency) or ``None``."""
-        value = self._data.get(key, _MISSING)
-        if value is _MISSING:
-            self.misses += 1
-            return None
-        self._data.move_to_end(key)
-        self.hits += 1
-        return value
-
-    def put(self, key, value) -> None:
-        if self.maxsize == 0:
-            return
-        if key in self._data:
-            self._data.move_to_end(key)
-        self._data[key] = value
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        self._data.clear()
-
 
 def dataset_fingerprint(
     coords: Sequence[Coords],
     weights: Optional[Sequence[float]] = None,
     colors: Optional[Sequence[Hashable]] = None,
 ) -> str:
-    """Stable content hash of a dataset, used to key the result cache.
+    """Stable content hash of a dataset, which the service's result cache
+    keys on.
 
-    Two engines over identical data produce identical cache keys; any change
-    to a coordinate, weight or color changes the fingerprint.
+    Two engines over identical data produce identical fingerprints; any
+    change to a coordinate, weight or color changes the fingerprint.
     """
     digest = hashlib.blake2b(digest_size=16)
     array = np.asarray(coords, dtype=float)
@@ -668,9 +624,9 @@ class BatchPlan:
     """What executing a query batch would cost, without executing it.
 
     Produced by :meth:`QueryEngine.batch_plan` for the serving layer
-    (:mod:`repro.service`), which uses it to route micro-batches: a batch
-    that is entirely cache hits can be served without touching an executor,
-    and the shard-task count bounds the work a flush will enqueue.
+    (:mod:`repro.service`), which plans the cache-missing queries it routes
+    through the sharded engine: the shard-task count bounds the work a flush
+    will enqueue.
 
     Attributes
     ----------
@@ -680,14 +636,11 @@ class BatchPlan:
     duplicates:
         How many submitted queries were duplicates of an earlier one (the
         coalescing opportunity).
-    cached:
-        The subset of ``unique`` already present in the engine's result
-        cache (served without solving).
     shard_tasks:
         Executor tasks a flush would submit: the sum of shard counts over
-        the non-cached unique queries.
+        the unique queries.
     direct:
-        The non-cached unique queries the engine will answer *directly* (one
+        The unique queries the engine will answer *directly* (one
         full-dataset call, no shard merge) because their sharded merge
         cannot be made sound -- currently the decayed family, whose weights
         depend on global arrival order (see :attr:`Query.shard_mode`).  The
@@ -697,7 +650,6 @@ class BatchPlan:
 
     unique: Tuple[Query, ...]
     duplicates: int
-    cached: Tuple[Query, ...]
     shard_tasks: int
     direct: Tuple[Query, ...] = ()
 
@@ -730,8 +682,6 @@ class QueryEngine:
         Optional override for the number of spatial shards per query.  By
         default the planner picks the granularity from the query's
         :attr:`Query.cost_class` (see :meth:`shard_plan`).
-    cache_size:
-        Capacity of the LRU result cache (``0`` disables caching).
 
     The dataset is held once, as validated columns: a contiguous float64
     ``(n, d)`` coordinate array, ``(n,)`` weights and, for colored data,
@@ -759,7 +709,6 @@ class QueryEngine:
         executor: Union[str, Executor, None] = None,
         workers: Optional[int] = None,
         target_shards: Optional[int] = None,
-        cache_size: int = 128,
     ):
         if not isinstance(points, np.ndarray):
             points = list(points)
@@ -792,7 +741,6 @@ class QueryEngine:
         self._executor = get_executor(executor, workers)
         self.target_shards = target_shards
         self.fingerprint = dataset_fingerprint(self._points, self._weights, color_list)
-        self._cache = LRUCache(cache_size)
         # (halo..., target_shards) -> plan, least recently used first; the
         # index blocks published for them share the keys.
         self._plans: "OrderedDict[Tuple, ShardPlan]" = OrderedDict()
@@ -845,19 +793,12 @@ class QueryEngine:
         exposed for the lifecycle/leak regression tests."""
         return self._store
 
-    def clear_cache(self) -> None:
-        """Drop all cached results (keeps the memoised shardings)."""
-        self._cache.clear()
-
     @property
     def stats(self) -> Dict[str, int]:
-        """Counters: queries served, cache hits / misses, shard tasks run."""
+        """Counters: queries served and shard tasks run."""
         return {
             "queries": self._queries_served,
-            "cache_hits": self._cache.hits,
-            "cache_misses": self._cache.misses,
             "shards_solved": self._shards_solved,
-            "cached_results": len(self._cache),
         }
 
     # ------------------------------------------------------------------ #
@@ -974,9 +915,8 @@ class QueryEngine:
     def batch_plan(self, queries: Sequence[Query]) -> BatchPlan:
         """Plan a batch without executing it (the serving layer's routing hook).
 
-        Deduplicates the batch, peeks at the result cache (without touching
-        recency or the hit/miss counters) and sums the shard tasks a
-        :meth:`solve_batch` flush would submit for the remaining queries.
+        Deduplicates the batch and sums the shard tasks a :meth:`solve_batch`
+        flush would submit for it; :attr:`stats` is left unchanged.
         Validates every query, so a planned batch cannot fail routing at
         flush time.
         """
@@ -986,14 +926,10 @@ class QueryEngine:
             if query not in seen:
                 seen.add(query)
                 unique.append(query)
-        cached: List[Query] = []
         direct: List[Query] = []
         shard_tasks = 0
         for query in unique:
             self._validate(query)
-            if self._cache.peek((self.fingerprint, query)) is not None:
-                cached.append(query)
-                continue
             if not len(self):
                 continue
             mode = query.shard_mode
@@ -1012,7 +948,6 @@ class QueryEngine:
         return BatchPlan(
             unique=tuple(unique),
             duplicates=len(queries) - len(unique),
-            cached=tuple(cached),
             shard_tasks=shard_tasks,
             direct=tuple(direct),
         )
@@ -1022,12 +957,12 @@ class QueryEngine:
     # ------------------------------------------------------------------ #
 
     def solve(self, query: Query) -> MaxRSResult:
-        """Solve one query (cached, sharded, executor-backed)."""
+        """Solve one query (sharded, executor-backed)."""
         return self.solve_batch([query])[0]
 
     def solve_direct(self, query: Query) -> MaxRSResult:
-        """Bypass sharding and caching: run the underlying solver once on the
-        whole dataset.  The reference path the engine is validated against."""
+        """Bypass sharding: run the underlying solver once on the whole
+        dataset.  The reference path the engine is validated against."""
         with obs.trace("engine.solve_direct", query=query.describe(),
                        n=len(self)):
             self._validate(query)
@@ -1036,10 +971,10 @@ class QueryEngine:
     def solve_batch(self, queries: Sequence[Query]) -> List[MaxRSResult]:
         """Solve a heterogeneous batch.
 
-        Identical queries are deduplicated, cached answers are served
-        without solving, and the shard tasks of all remaining queries are
-        flattened into a single executor submission (parallel across queries
-        and shards at once).  Results come back in input order.
+        Identical queries are deduplicated and the shard tasks of all
+        distinct queries are flattened into a single executor submission
+        (parallel across queries and shards at once).  Results come back in
+        input order.
 
         Under tracing (``REPRO_TRACE=1``, :func:`repro.obs.set_enabled`, or
         an enclosing trace) the flush emits an ``engine.solve_batch`` span
@@ -1067,27 +1002,20 @@ class QueryEngine:
                 unique.append(query)
 
         resolved: Dict[Query, MaxRSResult] = {}
-        misses: List[Query] = []
-        for query in unique:
-            cached = self._cache.get((self.fingerprint, query))
-            if cached is not None:
-                resolved[query] = cached
-            else:
-                misses.append(query)
-        batch_span.tag(unique=len(unique), misses=len(misses))
+        batch_span.tag(unique=len(unique))
 
-        # Route each miss by its shard mode: the standard halo plan, the
+        # Route each query by its shard mode: the standard halo plan, the
         # top-k per-round re-peel, or a direct full-dataset call (families
         # whose sharded merge cannot be made sound; see Query.shard_mode).
-        halo_misses = [query for query in misses if query.shard_mode == "halo"]
-        peel_misses = [query for query in misses if query.shard_mode == "peel"]
-        direct_misses = [query for query in misses if query.shard_mode == "direct"]
+        halo_queries = [query for query in unique if query.shard_mode == "halo"]
+        peel_queries = [query for query in unique if query.shard_mode == "peel"]
+        direct_queries = [query for query in unique if query.shard_mode == "direct"]
 
-        if halo_misses:
+        if halo_queries:
             traced = obs.tracing_active()
             tasks: List[Tuple] = []
             groups: List[Tuple[Query, int]] = []
-            for query in halo_misses:
+            for query in halo_queries:
                 with obs.span("engine.plan",
                               query=query.describe()) as plan_span:
                     self._validate(query)
@@ -1103,8 +1031,8 @@ class QueryEngine:
                 # Per-shard backend selection: "auto" is resolved against each
                 # shard's population, so fine shards run the pure-Python loops
                 # (no NumPy per-call overhead) while big shards vectorise.
-                # Explicit backends pass through untouched; the cache keeps
-                # keying on the original query.  In-process executors get
+                # Explicit backends pass through untouched; results stay
+                # keyed on the original query.  In-process executors get
                 # the shard's slice of the engine's arrays.
                 for ordinal in range(len(plan)):
                     indices = plan.shard_indices(ordinal)
@@ -1166,20 +1094,18 @@ class QueryEngine:
                     meta["executor"] = self._executor.kind
                     merged = MaxRSResult(value=merged.value, center=merged.center,
                                          shape=merged.shape, exact=merged.exact, meta=meta)
-                self._cache.put((self.fingerprint, query), merged)
                 resolved[query] = merged
 
-        for query in peel_misses:
+        for query in peel_queries:
             self._validate(query)
             with obs.span("engine.peel", query=query.describe()) as peel_span:
                 merged = self._solve_topk_peel(query)
                 peel_span.tag(
                     placements=len(merged.meta.get("placements", ())),
                     rounds=merged.meta.get("rounds", 0))
-            self._cache.put((self.fingerprint, query), merged)
             resolved[query] = merged
 
-        for query in direct_misses:
+        for query in direct_queries:
             self._validate(query)
             with obs.span("engine.direct", query=query.describe(),
                           n=len(self)):
@@ -1189,7 +1115,6 @@ class QueryEngine:
             result = MaxRSResult(value=result.value, center=result.center,
                                  shape=result.shape, exact=result.exact,
                                  meta=meta)
-            self._cache.put((self.fingerprint, query), result)
             resolved[query] = result
 
         self._queries_served += len(queries)

@@ -1,6 +1,7 @@
 """The asyncio HTTP front end over :class:`~repro.service.MaxRSService`.
 
-:class:`MaxRSServer` bridges the event loop to the threaded serving core:
+:class:`MaxRSServer` bridges the event loop to the synchronous serving
+core, and owns the only request queue on the path:
 
 1. **accept** -- each connection is one asyncio task speaking minimal
    HTTP/1.1 (keep-alive, ``Content-Length`` framing; no chunked encoding,
@@ -34,9 +35,9 @@ Routes::
     GET  /v1/stats     server counters + service snapshot
     GET  /v1/healthz   liveness probe
 
-The server runs embedded (:meth:`start_in_thread` / :meth:`stop`, used by
-tests and the SLO bench suite) or in the foreground (:meth:`run`, used by
-``repro serve --listen``).
+The server runs on a background thread (:meth:`start_in_thread` /
+:meth:`stop`), which is how ``repro serve --listen``, the tests and the SLO
+bench suite all run it.
 """
 
 from __future__ import annotations
@@ -81,7 +82,8 @@ class MaxRSServer:
         Admission-queue bound: requests beyond this many admitted-but-not-
         yet-dispatched entries are shed with a 503.
     max_batch:
-        Dispatch window size (default: the service's ``max_batch``).
+        Dispatch window size: the most admitted requests one
+        :meth:`~repro.service.MaxRSService.serve` call answers.
     """
 
     def __init__(
@@ -91,17 +93,17 @@ class MaxRSServer:
         port: int = 0,
         *,
         max_pending: int = 256,
-        max_batch: Optional[int] = None,
+        max_batch: int = 64,
     ):
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
-        if max_batch is not None and max_batch < 1:
+        if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self._service = service
         self._host = host
         self._port = port
         self.max_pending = max_pending
-        self.max_batch = max_batch if max_batch is not None else service.max_batch
+        self.max_batch = max_batch
         self.metrics = MetricsRegistry()
         self.address: Optional[Tuple[str, int]] = None
         self.max_queue_depth = 0
@@ -132,9 +134,8 @@ class MaxRSServer:
     def start_in_thread(self) -> "MaxRSServer":
         """Run the server on a background thread; returns once bound.
 
-        The embedded mode tests, the SLO suite and ``repro loadgen``'s
-        self-hosted checks use: the caller keeps its thread, reads
-        :attr:`address`, and calls :meth:`stop` when done.
+        The caller keeps its thread, reads :attr:`address`, and calls
+        :meth:`stop` when done.
         """
         if self._thread is not None:
             raise RuntimeError("server already started")
@@ -159,8 +160,8 @@ class MaxRSServer:
         """Stop accepting, drain admitted requests, and shut down.
 
         Idempotent; safe from any thread.  Requests already admitted are
-        served before the dispatcher exits (mirroring
-        :meth:`MaxRSService.close` serving its queued work).
+        served before the dispatcher exits; requests arriving meanwhile are
+        shed.
         """
         loop, stop_event = self._loop, self._stop_event
         if loop is not None and stop_event is not None and loop.is_running():
@@ -169,20 +170,7 @@ class MaxRSServer:
             self._thread.join(timeout=30.0)
         self._executor.shutdown(wait=False)
 
-    def run(self, duration: Optional[float] = None) -> None:
-        """Run the server in the foreground (``repro serve --listen``).
-
-        Blocks until ``duration`` seconds elapse (when given) or the
-        process is interrupted; drains admitted requests before returning.
-        """
-        try:
-            asyncio.run(self._main(duration=duration))
-        except KeyboardInterrupt:  # pragma: no cover - interactive exit
-            pass
-        finally:
-            self._executor.shutdown(wait=False)
-
-    async def _main(self, duration: Optional[float] = None) -> None:
+    async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._admission = asyncio.Queue(maxsize=self.max_pending)
         self._stop_event = asyncio.Event()
@@ -192,13 +180,7 @@ class MaxRSServer:
         self.address = server.sockets[0].getsockname()[:2]
         self._ready.set()
         try:
-            if duration is None:
-                await self._stop_event.wait()
-            else:
-                try:
-                    await asyncio.wait_for(self._stop_event.wait(), duration)
-                except asyncio.TimeoutError:
-                    pass
+            await self._stop_event.wait()
         finally:
             # Stop accepting, shed new requests on live connections, serve
             # what was already admitted, then retire the dispatcher.

@@ -1,4 +1,4 @@
-"""Concurrent query-serving front end for MaxRS workloads.
+"""Query-serving core for MaxRS workloads.
 
 Everything below :mod:`repro.service` answers *one* query at a time: the
 solver functions are one-shot calls, the engine serves one batch it is
@@ -19,9 +19,10 @@ underneath into a serving system:
 * :mod:`repro.service.metrics` -- per-request metrics (queue wait, flush
   size, latency) and their aggregation (:class:`ServiceStats`,
   :func:`percentile`);
-* :mod:`repro.service.server` -- :class:`MaxRSService`, the front end
-  itself, with a threaded dispatcher (``submit``/``result``) and a
-  deterministic replay mode (``serve_trace``) sharing one serving core.
+* :mod:`repro.service.server` -- :class:`MaxRSService`, the synchronous
+  serving core: :meth:`~MaxRSService.serve` answers one window of requests,
+  :meth:`~MaxRSService.serve_trace` replays a trace in windows, and
+  :class:`repro.net.MaxRSServer` puts it on a socket.
 
 Serving preserves the layers' guarantees: with the default
 ``routing="direct"`` every served answer is **bit-identical** to the direct
@@ -43,11 +44,10 @@ from .batcher import Group, coalesce, form_groups
 from .cache import MISSING, TTLCache
 from .metrics import ServiceStats, percentile
 from .requests import ServiceRequest, ServiceResponse
-from .server import MaxRSService, PendingResponse, TraceReport
+from .server import MaxRSService, TraceReport
 
 __all__ = [
     "MaxRSService",
-    "PendingResponse",
     "TraceReport",
     "ServiceRequest",
     "ServiceResponse",

@@ -1,7 +1,8 @@
 """A TTL'd LRU result cache for the serving layer.
 
-Differs from the engine's :class:`~repro.engine.planner.LRUCache` in two
-serving-specific ways:
+The only result cache in the stack (the engine keeps no answers; it only
+deduplicates within a batch).  Besides least-recently-used eviction it
+does two serving-specific things:
 
 * entries **expire**: every entry carries a deadline ``now + ttl``, so a
   served answer is never older than the configured time-to-live even if the

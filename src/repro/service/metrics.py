@@ -35,7 +35,7 @@ class ServiceStats:
     Counts and means are exact over the whole service lifetime; the latency
     and queue-wait percentiles come from bounded
     :class:`repro.obs.Histogram` reservoirs over the most recent
-    :data:`RESERVOIR_SIZE` requests, so a long-running threaded service
+    :data:`RESERVOIR_SIZE` requests, so a long-running service
     holds O(1) metrics state.
     """
 

@@ -100,14 +100,15 @@ class ServiceResponse:
     served_from:
         ``"solver"`` (fresh engine/solver call), ``"monitor"`` (fresh
         monitor pass), ``"cache"`` (TTL cache hit), ``"coalesced"``
-        (piggybacked on an identical request in the same flush),
-        ``"update"`` (applied update batch), or ``"error"`` (the flush
-        itself failed before the request could be routed -- ``error``
-        carries the exception).
+        (piggybacked on an identical request in the same flush), or
+        ``"update"`` (applied update batch).  (On the wire,
+        :mod:`repro.net` also answers ``"error"`` for a request that never
+        reached a flush.)
     batch_size:
         Number of requests served in the same flush.
     queue_wait:
-        Seconds between submission and the start of the flush that served it.
+        Seconds between the :meth:`~repro.service.MaxRSService.serve` call
+        and the start of its flush (the wait for a concurrent call's flush).
     latency:
         Seconds between submission and the response being ready.
     batch_id:

@@ -1,13 +1,14 @@
-"""The concurrent query-serving front end.
+"""The synchronous query-serving core.
 
 :class:`MaxRSService` accepts a stream of heterogeneous MaxRS requests --
 static queries against a fixed dataset, hotspot reads against a live stream
 monitor, and monitor update batches -- and serves them through the serving
 pipeline the rest of this package provides:
 
-1. **window draining** -- requests accumulate (from concurrent submitters or
-   a replayed trace) and are drained into flush windows of at most
-   ``max_batch`` requests;
+1. **windows** -- the caller hands :meth:`MaxRSService.serve` one window
+   of requests at a time: :meth:`~MaxRSService.serve_trace` cuts a replayed
+   trace into windows, and :class:`repro.net.MaxRSServer` drains its
+   bounded admission queue into them;
 2. **micro-batching** -- each window is split into ordered serve / update
    groups (:func:`~repro.service.batcher.form_groups`; updates are
    barriers), so one flush touches the engine once and the monitor once;
@@ -31,17 +32,14 @@ pipeline the rest of this package provides:
    (:func:`repro.kernels.resolve_batch_backend`), and the concrete query
    served is recorded on the response.
 
-The front end runs in two modes sharing one serving core: a **threaded**
-mode (:meth:`start` / :meth:`submit` / :meth:`close`) where a dispatcher
-thread drains a queue fed by concurrent client threads, and a
-**deterministic** mode (:meth:`serve` / :meth:`serve_trace`) where the
-caller controls window formation -- what the benchmarks and differential
-tests replay.
+The service starts no thread and holds no request queue.  Concurrent
+callers take turns on one lock, so each window is served whole; requests
+wait only where windows are formed -- for socket traffic, in the server's
+bounded admission queue.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -59,33 +57,7 @@ from .cache import MISSING, TTLCache
 from .metrics import ServiceStats
 from .requests import ServiceRequest, ServiceResponse
 
-__all__ = ["MaxRSService", "PendingResponse", "TraceReport"]
-
-
-class PendingResponse:
-    """A future for one submitted request (threaded mode)."""
-
-    __slots__ = ("request", "submitted", "_event", "_response")
-
-    def __init__(self, request: ServiceRequest, submitted: float):
-        self.request = request
-        self.submitted = submitted
-        self._event = threading.Event()
-        self._response: Optional[ServiceResponse] = None
-
-    def _resolve(self, response: ServiceResponse) -> None:
-        self._response = response
-        self._event.set()
-
-    def done(self) -> bool:
-        """Whether the response is ready."""
-        return self._event.is_set()
-
-    def result(self, timeout: Optional[float] = None) -> ServiceResponse:
-        """Block until the response is ready and return it."""
-        if not self._event.wait(timeout):
-            raise TimeoutError("request was not served within %r s" % (timeout,))
-        return self._response
+__all__ = ["MaxRSService", "TraceReport"]
 
 
 @dataclass
@@ -116,9 +88,8 @@ class MaxRSService:
     ----------
     points, weights, colors:
         The static dataset; a :class:`~repro.engine.QueryEngine` is built
-        over it (with the engine's own cache disabled -- the service's TTL
-        cache is the single caching layer).  Alternatively pass a
-        ready-made ``engine``.
+        over it.  Alternatively pass a ready-made ``engine``.  The engine
+        keeps no results; the service's TTL cache is the only result cache.
     monitor:
         The live :class:`~repro.streaming.base.StreamMonitor` update
         requests mutate and monitor reads query.  Optional; without one,
@@ -137,9 +108,8 @@ class MaxRSService:
         sharded engine; the rest stay on bit-identical direct calls and
         build no plan.
     cache_ttl, cache_size:
-        The TTL'd result cache (seconds / entries).
-    max_batch:
-        Flush window size: how many queued requests one dispatch drains.
+        The TTL'd result cache (seconds / entries; ``cache_size=0`` turns
+        it off).
     executor, workers:
         Forwarded to the engine built from ``points``.
         ``executor="shared-process"`` is the zero-copy serving mode: the
@@ -162,7 +132,6 @@ class MaxRSService:
         routing: str = "direct",
         cache_ttl: float = 60.0,
         cache_size: int = 4096,
-        max_batch: int = 64,
         executor: Union[str, Executor, None] = None,
         workers: Optional[int] = None,
         clock=time.perf_counter,
@@ -170,30 +139,24 @@ class MaxRSService:
         if routing not in ("direct", "sharded", "auto"):
             raise ValueError(
                 "routing must be 'direct', 'sharded' or 'auto', got %r" % (routing,))
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
         if engine is not None and points is not None:
             raise ValueError("pass either points or a ready-made engine, not both")
         self._owns_engine = False
         if engine is None and points is not None:
             engine = QueryEngine(points, weights=weights, colors=colors,
-                                 executor=executor, workers=workers, cache_size=0)
+                                 executor=executor, workers=workers)
             self._owns_engine = True
         if engine is None and monitor is None:
             raise ValueError("MaxRSService needs a dataset, an engine or a monitor")
         self._engine = engine
         self._monitor = monitor
         self.routing = routing
-        self.max_batch = max_batch
         self._cache = TTLCache(maxsize=cache_size, ttl=cache_ttl)
         self._clock = clock
         self.stats = ServiceStats()
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._stream_position = 0
         self._batch_counter = 0
-        self._queue: "queue.Queue[PendingResponse]" = queue.Queue()
-        self._dispatcher: Optional[threading.Thread] = None
-        self._stop = threading.Event()
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -235,120 +198,20 @@ class MaxRSService:
         return self._closed
 
     def close(self) -> None:
-        """Stop the dispatcher (serving what is already queued) and shut
-        down the engine the service owns.  Idempotent; afterwards
-        :meth:`submit`, :meth:`serve` and :meth:`start` raise
-        :class:`RuntimeError` -- the engine's shared-memory store may
-        already be released, so silently respawning the dispatcher over it
-        would serve corrupt answers.
+        """Shut down the engine the service owns.  Idempotent; waits for a
+        window being served to finish, and afterwards :meth:`serve` raises
+        :class:`RuntimeError` -- the engine's shared-memory store is
+        released, so serving over it would give corrupt answers.
         """
         with self._lock:
-            # The closed flag and the dispatcher handoff flip under _lock so
-            # a concurrent submit() either enqueues before the flag is set
-            # (and is drained below) or raises RuntimeError -- never lands
-            # in a queue nobody will ever drain.
             if self._closed:
                 return
             self._closed = True
-            dispatcher = self._dispatcher
-            self._dispatcher = None
-            if dispatcher is not None:
-                self._stop.set()
-        if dispatcher is not None:
-            # Join *outside* the lock: the dispatcher takes _lock inside
-            # _serve_window, so holding it across the join would deadlock.
-            dispatcher.join()
-            self._drain_queue()
-        if self._owns_engine and self._engine is not None:
-            self._engine.close()
-
-    def _ensure_open(self, what: str) -> None:
-        if self._closed:
-            raise RuntimeError(
-                "MaxRSService is closed; %s() after close() is a bug in the "
-                "caller (the owned engine's resources are already released)"
-                % what)
+            if self._owns_engine and self._engine is not None:
+                self._engine.close()
 
     # ------------------------------------------------------------------ #
-    # threaded front end
-    # ------------------------------------------------------------------ #
-
-    def start(self) -> "MaxRSService":
-        """Start the dispatcher thread (idempotent; :meth:`submit` does this
-        on first use).  Raises :class:`RuntimeError` after :meth:`close`."""
-        with self._lock:  # concurrent first submits must not spawn two dispatchers
-            self._ensure_open("start")
-            if self._dispatcher is None:
-                self._stop.clear()
-                self._dispatcher = threading.Thread(target=self._dispatch_loop,
-                                                    name="maxrs-service-dispatcher",
-                                                    daemon=True)
-                self._dispatcher.start()
-        return self
-
-    def submit(self, request: ServiceRequest) -> PendingResponse:
-        """Enqueue one request; returns a future whose ``result()`` blocks
-        until the dispatcher has served the flush containing it.  Raises
-        :class:`RuntimeError` after :meth:`close`."""
-        pending = PendingResponse(request, self._clock())
-        with self._lock:
-            # Check-then-enqueue must be atomic w.r.t. close(): once close()
-            # sets the flag the queue is never drained again, so an entry
-            # slipped in after the check would block its waiter forever.
-            self._ensure_open("submit")
-            self.start()
-            self._queue.put(pending)
-        return pending
-
-    def _dispatch_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                first = self._queue.get(timeout=0.02)
-            except queue.Empty:
-                continue
-            self._serve_window_guarded(self._drain_window(first))
-        # Serve whatever arrived before the stop flag was seen.
-        self._drain_queue()
-
-    def _drain_window(self, first: PendingResponse) -> List[PendingResponse]:
-        window = [first]
-        while len(window) < self.max_batch:
-            try:
-                window.append(self._queue.get_nowait())
-            except queue.Empty:
-                break
-        return window
-
-    def _drain_queue(self) -> None:
-        while True:
-            try:
-                first = self._queue.get_nowait()
-            except queue.Empty:
-                return
-            self._serve_window_guarded(self._drain_window(first))
-
-    def _serve_window_guarded(self, entries: List[PendingResponse]) -> None:
-        """Serve one window, resolving every entry even if the serving core
-        itself raises.
-
-        :meth:`_serve_window` attaches per-request errors and should never
-        raise, but a bug escaping it must not kill the dispatcher thread:
-        before this guard, one such exception left every in-flight
-        ``PendingResponse.result()`` blocking forever (and the queue growing
-        unboundedly behind a dead dispatcher).
-        """
-        try:
-            self._serve_window(entries)
-        except Exception as exc:
-            for entry in entries:
-                if not entry.done():
-                    entry._resolve(ServiceResponse(
-                        request=entry.request, result=None,
-                        served_from="error", batch_size=len(entries),
-                        error=exc))
-
-    # ------------------------------------------------------------------ #
-    # deterministic front end
+    # serving
     # ------------------------------------------------------------------ #
 
     def request(self, request: ServiceRequest) -> ServiceResponse:
@@ -358,33 +221,21 @@ class MaxRSService:
             raise response.error
         return response
 
-    def serve(self, requests: Sequence[ServiceRequest]) -> List[ServiceResponse]:
-        """Serve one caller-formed window synchronously, in order.
-
-        Errors are attached per response (``response.error``), never raised:
-        one malformed request must not fail the flush that carries it.
-        Raises :class:`RuntimeError` after :meth:`close`.
-        """
-        self._ensure_open("serve")
-        now = self._clock()
-        return self._serve_window([PendingResponse(r, now) for r in requests])
-
     def serve_trace(
         self,
         trace: Union[RequestTrace, Sequence[RequestEvent], Sequence[ServiceRequest]],
         *,
-        window: Optional[int] = None,
+        window: int = 64,
     ) -> TraceReport:
         """Replay a request trace through the serving pipeline.
 
         The trace is walked in order and flushed in windows of up to
-        ``window`` requests (default ``max_batch``) -- the deterministic
-        stand-in for concurrent arrival: requests in one window are "in
-        flight together" and eligible for coalescing and shared passes,
-        while update barriers inside a window still apply in order.
+        ``window`` requests -- the deterministic stand-in for concurrent
+        arrival: requests in one window are "in flight together" and
+        eligible for coalescing and shared passes, while update barriers
+        inside a window still apply in order.
         """
-        size = self.max_batch if window is None else window
-        if size < 1:
+        if window < 1:
             raise ValueError("window must be >= 1")
         responses: List[ServiceResponse] = []
         batch: List[ServiceRequest] = []
@@ -392,23 +243,35 @@ class MaxRSService:
         for event in trace:
             batch.append(ServiceRequest.from_trace(event)
                          if isinstance(event, RequestEvent) else event)
-            if len(batch) >= size:
+            if len(batch) >= window:
                 responses.extend(self.serve(batch))
                 batch = []
         if batch:
             responses.extend(self.serve(batch))
         return TraceReport(responses=responses, elapsed=self._clock() - started)
 
-    # ------------------------------------------------------------------ #
-    # the serving core
-    # ------------------------------------------------------------------ #
+    def serve(self, requests: Sequence[ServiceRequest]) -> List[ServiceResponse]:
+        """Serve one caller-formed window synchronously, in order.
 
-    def _serve_window(self, entries: List[PendingResponse]) -> List[ServiceResponse]:
+        Errors are attached per response (``response.error``), never raised:
+        one malformed request must not fail the flush that carries it.
+        Concurrent calls take turns; the time a call waits for its turn is
+        its responses' ``queue_wait``.  Raises :class:`RuntimeError` after
+        :meth:`close`, also for a call that was waiting while it ran.
+        """
+        submitted = self._clock()
         with self._lock:
+            # Checked under the lock close() holds while it shuts the engine
+            # down, so a call that waited out close() cannot reach it.
+            if self._closed:
+                raise RuntimeError(
+                    "MaxRSService is closed; serve() after close() is a bug in "
+                    "the caller (the owned engine's resources are already "
+                    "released)")
             self._batch_counter += 1
             batch_id = self._batch_counter
             flush_started = self._clock()
-            window = [entry.request for entry in entries]
+            window = list(requests)
             responses: List[Optional[ServiceResponse]] = [None] * len(window)
             solver_calls = 0
             monitor_passes = 0
@@ -427,11 +290,10 @@ class MaxRSService:
                 flush_span.tag(solver_calls=solver_calls,
                                monitor_passes=monitor_passes)
             done = self._clock()
-            for entry, response in zip(entries, responses):
-                response.queue_wait = max(0.0, flush_started - entry.submitted)
-                response.latency = max(0.0, done - entry.submitted)
+            for response in responses:
+                response.queue_wait = max(0.0, flush_started - submitted)
+                response.latency = max(0.0, done - submitted)
                 self.stats.record(response)
-                entry._resolve(response)
             self.stats.record_flush(solver_calls=solver_calls,
                                     monitor_passes=monitor_passes)
             return responses

@@ -166,8 +166,25 @@ class TestComparator:
                              {"speedup_x": 40.0}, noise=0.25) == []
 
     def test_non_numeric_and_missing_gates_skipped(self):
-        assert compare_gates("s", {"a": "fast", "b": True, "c": 2.0, "d": 1.0},
-                             {"a": "slow", "b": False, "c": 2.0}, noise=0.1) == []
+        # Non-numeric baseline gates compare nothing, and neither does a new
+        # gate the baseline lacks.  (A baseline gate the *current* run lacks
+        # fails: see the next test.)
+        assert compare_gates("s", {"a": "fast", "b": True, "c": 2.0},
+                             {"a": "slow", "b": False, "c": 2.0, "d": 1.0},
+                             noise=0.1) == []
+
+    def test_baseline_gate_missing_from_current_run_fails(self):
+        # A renamed or dropped gate used to compare nothing and pass.
+        regressions = compare_gates(
+            "parallel", {"speedup_old": 1.2, "speedup_kept": 1.5},
+            {"speedup_new": 1.4, "speedup_kept": 1.5}, noise=0.5)
+        assert [r.metric for r in regressions] == ["speedup_old"]
+        assert regressions[0].current is None
+        assert "speedup_old is missing" in regressions[0].describe()
+        history = [{"suite": "kernels", "quick": True,
+                    "gates": {"speedup_x": 10.0}}]
+        renamed = self._artifact({"speedup_y": 10.0})
+        assert compare_artifact(renamed, history, noise=0.25, log=None) == 1
 
     def test_latest_baseline_wins_and_filters_mode(self):
         entries = [

@@ -4,8 +4,9 @@ The load-bearing property is *sharded == serial*: on every exact solver the
 engine's merged answer must equal the direct one-shot solver's value, for
 adversarial Hypothesis inputs and for the library's uniform / clustered /
 hotspot workload generators.  The rest covers the planner's serving
-behaviour (dedup, LRU cache, fingerprints), executor equivalence, merge
-semantics, sharding invariants and the dirty-shard streaming monitor.
+behaviour (in-batch dedup, no result cache below the service's TTL cache,
+fingerprints), executor equivalence, merge semantics, sharding invariants
+and the dirty-shard streaming monitor.
 """
 
 import math
@@ -25,7 +26,6 @@ from repro.datasets import (
     weighted_hotspot_points,
 )
 from repro.engine import (
-    LRUCache,
     ProcessPoolExecutor,
     Query,
     QueryEngine,
@@ -45,6 +45,7 @@ from repro.exact import (
     maxrs_interval_exact,
     maxrs_rectangle_exact,
 )
+from repro.service import MISSING, MaxRSService, ServiceRequest, TTLCache
 from repro.streaming import ExactRecomputeMonitor, ShardedMaxRSMonitor
 
 planar_points = st.lists(
@@ -359,36 +360,46 @@ class TestColumnarDataset:
         with QueryEngine(coords) as engine:
             before = engine.solve(Query.disk(1.0))
             coords[:] = 0.0  # every point on top of each other
-            engine.clear_cache()
             assert engine.solve(Query.disk(1.0)).value == before.value
 
 
 class TestCachingAndDedup:
+    """The service's TTL cache is the only result cache; the engine
+    re-solves every batch and deduplicates only within one."""
+
     def test_repeat_query_is_a_cache_hit(self):
         points = clustered_points(100, dim=2, extent=8.0, seed=61)
+        request = ServiceRequest.static(Query.disk(1.0))
+        with MaxRSService(points, routing="sharded") as service:
+            first = service.request(request)
+            solved_once = service.engine.stats["shards_solved"]
+            second = service.request(request)
+            assert second.served_from == "cache"
+            assert service.cache_stats["hits"] == 1
+            # no new solver work
+            assert service.engine.stats["shards_solved"] == solved_once
+        assert first.result.value == second.result.value
+
+    def test_batch_deduplicates_identical_queries(self):
+        points = clustered_points(100, dim=2, extent=8.0, seed=62)
+        disk, rect = Query.disk(1.0), Query.rectangle(2.0, 2.0)
+        with QueryEngine(points) as engine:
+            results = engine.solve_batch([disk, rect, disk])
+            # shards of the two *unique* queries, each solved once
+            assert engine.stats["shards_solved"] == (
+                len(engine.shard_plan(disk)) + len(engine.shard_plan(rect)))
+            assert engine.stats["queries"] == 3
+        assert results[0].value == results[2].value
+
+    def test_clear_cache_forces_resolve(self):
+        # The engine keeps no answers: a repeat re-runs every shard.
+        points = clustered_points(80, dim=2, extent=8.0, seed=63)
         with QueryEngine(points) as engine:
             first = engine.solve(Query.disk(1.0))
             solved_once = engine.stats["shards_solved"]
             second = engine.solve(Query.disk(1.0))
-            assert engine.stats["cache_hits"] == 1
-            assert engine.stats["shards_solved"] == solved_once  # no new solver work
-        assert first.value == second.value
-
-    def test_batch_deduplicates_identical_queries(self):
-        points = clustered_points(100, dim=2, extent=8.0, seed=62)
-        with QueryEngine(points) as engine:
-            results = engine.solve_batch([Query.disk(1.0), Query.rectangle(2.0, 2.0),
-                                          Query.disk(1.0)])
-            assert engine.stats["cache_misses"] == 2  # two *unique* queries
-        assert results[0].value == results[2].value
-
-    def test_clear_cache_forces_resolve(self):
-        points = clustered_points(80, dim=2, extent=8.0, seed=63)
-        with QueryEngine(points) as engine:
-            engine.solve(Query.disk(1.0))
-            engine.clear_cache()
-            engine.solve(Query.disk(1.0))
-            assert engine.stats["cache_misses"] == 2
+            assert engine.stats["shards_solved"] == 2 * solved_once > 0
+        assert (first.value, first.center) == (second.value, second.center)
 
     def test_fingerprint_tracks_content(self):
         points = [(0.0, 0.0), (1.0, 1.0)]
@@ -399,22 +410,25 @@ class TestCachingAndDedup:
             dataset_fingerprint(points, colors=[0, 2])
 
     def test_lru_eviction_and_counters(self):
-        cache = LRUCache(maxsize=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1
-        cache.put("c", 3)          # evicts "b", the least recently used
-        assert cache.get("b") is None
-        assert cache.get("a") == 1 and cache.get("c") == 3
-        assert cache.hits == 3 and cache.misses == 1
+        cache = TTLCache(maxsize=2, ttl=100.0)
+        cache.put("a", 1, now=0.0)
+        cache.put("b", 2, now=0.0)
+        assert cache.get("a", now=1.0) == 1
+        cache.put("c", 3, now=1.0)  # evicts "b", the least recently used
+        assert cache.get("b", now=2.0) is MISSING
+        assert cache.get("a", now=2.0) == 1 and cache.get("c", now=2.0) == 3
+        assert cache.stats == {"hits": 3, "misses": 1, "expirations": 0,
+                               "size": 2}
 
     def test_cache_size_zero_disables_caching(self):
         points = clustered_points(60, dim=2, extent=8.0, seed=64)
-        with QueryEngine(points, cache_size=0) as engine:
-            engine.solve(Query.disk(1.0))
-            engine.solve(Query.disk(1.0))
-            assert engine.stats["cache_hits"] == 0
-            assert engine.stats["cache_misses"] == 2
+        request = ServiceRequest.static(Query.disk(1.0))
+        with MaxRSService(points, cache_size=0) as service:
+            first = service.request(request)
+            second = service.request(request)
+            assert [first.served_from, second.served_from] == ["solver", "solver"]
+            assert service.snapshot()["solver_calls"] == 2
+            assert service.cache_stats["size"] == 0
 
 
 class TestValidation:
@@ -580,7 +594,6 @@ class TestBatchPlan:
             plan = engine.batch_plan([disk, rect, disk, disk])
             assert plan.unique == (disk, rect)
             assert plan.duplicates == 2
-            assert plan.cached == ()
             assert plan.shard_tasks == (len(engine.shard_plan(disk))
                                         + len(engine.shard_plan(rect)))
             # neighbour-grid pruned disk sweeps shard coarsely, like the
@@ -593,17 +606,18 @@ class TestBatchPlan:
             assert Query.colored_box3d(1.0, 1.0, 1.0).cost_class == "quadratic"
 
     def test_plan_sees_cached_results_without_touching_counters(self):
+        # Planning is not solving: batch_plan leaves engine.stats unchanged,
+        # and a solved query is planned again in full (the engine keeps no
+        # answers to skip it by).
         with self._engine() as engine:
             disk = Query.disk(1.0)
             engine.solve(disk)
             before = dict(engine.stats)
             rect = Query.rectangle(1.0, 1.0)
             plan = engine.batch_plan([disk, rect])
-            assert plan.cached == (disk,)
-            assert plan.shard_tasks == len(engine.shard_plan(rect))
-            # peeking must not perturb the cache hit/miss statistics
-            assert engine.stats["cache_hits"] == before["cache_hits"]
-            assert engine.stats["cache_misses"] == before["cache_misses"]
+            assert plan.shard_tasks == (len(engine.shard_plan(disk))
+                                        + len(engine.shard_plan(rect)))
+            assert engine.stats == before
 
     def test_plan_validates_queries(self):
         with self._engine() as engine:
@@ -611,11 +625,15 @@ class TestBatchPlan:
                 engine.batch_plan([Query.colored_disk(1.0)])  # no colors
 
     def test_lru_peek_does_not_refresh_recency(self):
-        cache = LRUCache(maxsize=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.peek("a") == 1
-        assert cache.peek("missing") is None
-        cache.put("c", 3)  # evicts "a": the peek did not refresh it
-        assert cache.peek("a") is None
-        assert cache.hits == 0 and cache.misses == 0
+        # The service looks in its cache before planning: a repeat answered
+        # from the cache plans nothing and runs no shard.
+        query = ServiceRequest.static(Query.colored_rectangle(2.0, 2.0))
+        points = clustered_points(120, dim=2, extent=8.0, seed=5)
+        colors = [index % 5 for index in range(len(points))]
+        with MaxRSService(points, colors=colors, routing="auto") as service:
+            service.request(query)
+            planned = service.snapshot()["planned_shard_tasks"]
+            engine_stats = dict(service.engine.stats)
+            assert service.request(query).served_from == "cache"
+            assert service.snapshot()["planned_shard_tasks"] == planned > 0
+            assert service.engine.stats == engine_stats

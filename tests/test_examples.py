@@ -62,7 +62,7 @@ class TestExamplesRun:
         module.WORKERS = 2
         module.main()
         output = capsys.readouterr().out
-        assert "cache hits" in output
+        assert "3 unique solved" in output  # the duplicate was deduplicated
         assert "engine agrees: True" in output
 
     def test_retail_site_selection_runs(self, capsys):

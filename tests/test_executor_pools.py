@@ -54,8 +54,7 @@ class TestPoolIdentityAcrossEngineBatches:
     @pytest.mark.parametrize("executor_name", ["thread", "shared-process"])
     def test_pool_is_stable_across_successive_batches(self, executor_name):
         points = clustered_points(220, dim=2, extent=10.0, seed=901)
-        with QueryEngine(points, executor=executor_name, workers=2,
-                         cache_size=0) as engine:
+        with QueryEngine(points, executor=executor_name, workers=2) as engine:
             engine.solve(Query.rectangle(2.0, 1.5))
             pool_after_first = engine._executor._pool
             assert pool_after_first is not None

@@ -164,47 +164,68 @@ class TestShardSpanCompleteness:
         assert sorted(kernel_parents) == sorted(s.span_id for s in shard_spans)
 
     def test_repeat_query_is_cache_served_and_spans_no_shards(self, collect):
+        # The service's TTL cache answers the repeat: its flush spans no
+        # engine work at all.
         obs.set_enabled(True)
-        with QueryEngine(_points(200), executor="serial",
-                         target_shards=4) as engine:
-            engine.solve(Query.disk(1.0))
-            engine.solve(Query.disk(1.0))
-        assert len(collect.traces) == 2
-        second = _span_index(collect.traces[1])
-        assert "shard.solve" not in second
-        root = second["engine.solve_batch"][0]
-        assert root.tags["misses"] == 0
+        request = ServiceRequest.static(Query.disk(1.0))
+        with MaxRSService(_points(200), routing="sharded",
+                          executor="serial") as service:
+            first = service.request(request)
+            second = service.request(request)
+        assert (first.served_from, second.served_from) == ("solver", "cache")
+        flushes = [trace for trace in collect.traces
+                   if trace[-1].name == "service.flush"]
+        assert len(flushes) == 2
+        assert "shard.solve" in _span_index(flushes[0])
+        repeat = _span_index(flushes[1])
+        assert "shard.solve" not in repeat
+        assert "engine.solve_batch" not in repeat
+        assert repeat["service.flush"][0].tags["solver_calls"] == 0
 
 
 # --------------------------------------------------------------------------- #
 # disabled tracing: identical answers, negligible overhead
 # --------------------------------------------------------------------------- #
 
+def _assert_bit_identical_with_and_without_tracing(points, queries):
+    """Solve ``queries`` with tracing off, then on; the answers must match
+    bit for bit."""
+    obs.set_enabled(False)
+    with QueryEngine(points, executor="serial", target_shards=4) as engine:
+        baseline = engine.solve_batch(queries)
+
+    obs.set_enabled(True)
+    sink = obs.ListSink()
+    obs.add_sink(sink)
+    try:
+        with QueryEngine(points, executor="serial", target_shards=4) as engine:
+            traced = engine.solve_batch(queries)
+    finally:
+        obs.remove_sink(sink)
+    assert sink.spans()  # tracing really was on
+
+    for before, after in zip(baseline, traced):
+        assert before.value == after.value
+        assert before.center == after.center
+        assert before.exact == after.exact
+        assert before.meta == after.meta
+
+
 class TestDisabledPath:
     def test_answers_bit_identical_with_and_without_tracing(self):
-        points = _points(500, seed=11)
-        queries = [Query.disk(1.0), Query.rectangle(1.5, 1.0),
-                   Query.disk_approx(1.0, epsilon=0.3, seed=2)]
+        # All three query families, at a size where the approximate disk
+        # solve takes about a second; the slow twin below runs 500 points.
+        _assert_bit_identical_with_and_without_tracing(
+            _points(150, seed=11),
+            [Query.disk(1.0), Query.rectangle(1.5, 1.0),
+             Query.disk_approx(1.0, epsilon=0.45, seed=2)])
 
-        obs.set_enabled(False)
-        with QueryEngine(points, executor="serial", target_shards=4) as engine:
-            baseline = engine.solve_batch(queries)
-
-        obs.set_enabled(True)
-        sink = obs.ListSink()
-        obs.add_sink(sink)
-        try:
-            with QueryEngine(points, executor="serial", target_shards=4) as engine:
-                traced = engine.solve_batch(queries)
-        finally:
-            obs.remove_sink(sink)
-        assert sink.spans()  # tracing really was on
-
-        for before, after in zip(baseline, traced):
-            assert before.value == after.value
-            assert before.center == after.center
-            assert before.exact == after.exact
-            assert before.meta == after.meta
+    @pytest.mark.slow
+    def test_answers_bit_identical_with_and_without_tracing_full_size(self):
+        _assert_bit_identical_with_and_without_tracing(
+            _points(500, seed=11),
+            [Query.disk(1.0), Query.rectangle(1.5, 1.0),
+             Query.disk_approx(1.0, epsilon=0.3, seed=2)])
 
     def test_noop_span_overhead_is_under_five_percent(self):
         """Budget check: the per-call cost of a disabled span, multiplied
@@ -246,8 +267,8 @@ class TestServiceTracing:
     def test_flush_roots_one_trace_with_engine_subtree(self, collect):
         obs.set_enabled(True)
         monitor = ShardedMaxRSMonitor(radius=1.0)
-        with MaxRSService(_points(300), monitor=monitor, routing="sharded",
-                          max_batch=8) as service:
+        with MaxRSService(_points(300), monitor=monitor,
+                          routing="sharded") as service:
             responses = service.serve([
                 ServiceRequest.update([_insert(1.0, 1.0)]),
                 ServiceRequest.static(Query.disk(1.0)),

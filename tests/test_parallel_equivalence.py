@@ -129,7 +129,7 @@ def test_shared_process_repeat_batches_reuse_store_and_pool():
     with QueryEngine(points, weights=weights, executor="serial") as serial:
         reference = [serial.solve(q) for q in PLANAR_QUERIES]
     with QueryEngine(points, weights=weights, executor="shared-process",
-                     workers=2, cache_size=0) as engine:
+                     workers=2) as engine:
         store = engine.store
         assert store is not None and not store.closed
         for round_number in range(2):

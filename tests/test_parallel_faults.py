@@ -131,7 +131,6 @@ class TestEngineAfterCrash:
                     engine._executor.map(_echo_or_die, ["die", "die"])
                 assert all(os.path.exists("/dev/shm/%s" % n) for n in names
                            if os.path.isdir("/dev/shm"))
-                engine.clear_cache()
                 again = engine.solve(Query.rectangle(2.0, 1.5))
         assert again.value == first.value and again.center == first.center
 
@@ -148,8 +147,7 @@ def test_slow_randomized_kill_positions(seed, tmp_path):
     reference = maxrs_disk_exact(points, radius=1.0, weights=weights)
     executor = SharedMemoryProcessExecutor(workers=2)
     with watchdog(300):
-        with QueryEngine(points, weights=weights, executor=executor,
-                         cache_size=0) as engine:
+        with QueryEngine(points, weights=weights, executor=executor) as engine:
             for round_number in range(4):
                 batch = list(range(8))
                 position = rng.randrange(len(batch))

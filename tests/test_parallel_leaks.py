@@ -105,7 +105,7 @@ class TestSegmentLifecycle:
         budget = 16 * len(points)
         attached = attached_segment_count()
         with QueryEngine(points, weights=weights, executor="shared-process",
-                         workers=2, cache_size=0) as engine:
+                         workers=2) as engine:
             dataset_segments = set(engine.store.segment_names())
             engine.solve(Query.rectangle(1.0, 1.0))
             first_blocks = set(engine.store.segment_names()) - dataset_segments

@@ -3,11 +3,14 @@
 Covers the serving pipeline layer by layer -- TTL cache, micro-batch
 formation, coalescing, metrics -- and the front end end-to-end: the
 bit-identical differential guarantee of direct routing, update barriers and
-monitor-generation cache invalidation, trace replay, and the threaded
-dispatcher under concurrent submitters.
+monitor-generation cache invalidation, trace replay, and concurrent clients
+of the socket server that puts the synchronous service on the wire.
 """
 
+import http.client
+import json
 import threading
+import time
 
 import pytest
 
@@ -21,6 +24,7 @@ from repro.datasets import (
 from repro.datasets.streams import UpdateEvent
 from repro.engine import Query, QueryEngine
 from repro.engine.planner import solve_query
+from repro.net import MaxRSServer, encode_request, run_loadgen
 from repro.service import (
     MISSING,
     MaxRSService,
@@ -336,9 +340,14 @@ class TestStaticServing:
         with pytest.raises(ValueError):
             MaxRSService(POINTS, routing="psychic")
         with pytest.raises(ValueError):
-            MaxRSService(POINTS, max_batch=0)
-        with pytest.raises(ValueError):
             MaxRSService(POINTS, engine=QueryEngine(POINTS))
+        # the window size belongs to whoever forms windows
+        with MaxRSService(POINTS) as service:
+            with pytest.raises(ValueError):
+                service.serve_trace([ServiceRequest.static(Query.disk(1.0))],
+                                    window=0)
+            with pytest.raises(ValueError):
+                MaxRSServer(service, max_batch=0)
 
 
 class TestMonitorServing:
@@ -357,7 +366,7 @@ class TestMonitorServing:
     def test_update_barrier_inside_one_window(self):
         """A read submitted after an update in the same flush must observe it."""
         monitor = ShardedMaxRSMonitor(radius=1.0)
-        with MaxRSService(monitor=monitor, max_batch=16) as service:
+        with MaxRSService(monitor=monitor) as service:
             read = ServiceRequest.read()
             responses = service.serve([
                 read,
@@ -516,95 +525,238 @@ class TestTraceReplay:
         assert hot < cold
 
 
+def _query_body(query):
+    return encode_request(RequestEvent(kind="query", arrival=0.0, query=query))
+
+
+def _post(server, body):
+    connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
+    try:
+        connection.request("POST", "/v1/request", body=body)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+def _wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.005)
+
+
+def _admitted(server):
+    counter = server.snapshot()["server"]["metrics"].get("net.admitted")
+    return counter["value"] if counter else 0
+
+
+class _GatedServe:
+    """Stands in for ``service.serve``: every call blocks until ``release``
+    is set, then serves normally."""
+
+    def __init__(self, service):
+        self._serve = service.serve
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self, requests):
+        self.entered.set()
+        assert self.release.wait(30.0)
+        return self._serve(requests)
+
+
+class _ParkingLock:
+    """Wraps a lock; the first acquire from ``thread`` parks until
+    ``resume`` is set, so a test can run other code while that acquire
+    is pending."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.thread = None
+        self.parked = threading.Event()
+        self.resume = threading.Event()
+
+    def __enter__(self):
+        if threading.current_thread() is self.thread and not self.parked.is_set():
+            self.parked.set()
+            assert self.resume.wait(30.0)
+        return self._inner.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self._inner.__exit__(*exc_info)
+
+
 class TestThreadedFrontEnd:
+    """Concurrency lives in :class:`repro.net.MaxRSServer`: its admission
+    queue is the only place a request waits, and its serving thread calls
+    the synchronous :meth:`MaxRSService.serve`.  These pin the behaviours
+    the service's former dispatcher thread had, over real sockets."""
+
     def test_concurrent_submitters_get_identical_answers(self):
-        with MaxRSService(POINTS, max_batch=32) as service:
-            reference = service.request(
-                ServiceRequest.static(Query.disk(1.0))).result.value
-            results = []
-            errors = []
+        query = Query.disk(1.0)
+        with MaxRSService(POINTS) as service:
+            reference = service.request(ServiceRequest.static(query)).result
+            server = MaxRSServer(service, max_pending=32).start_in_thread()
+            results, errors = [], []
 
             def client():
                 try:
-                    pending = service.submit(ServiceRequest.static(Query.disk(1.0)))
-                    results.append(pending.result(timeout=30.0))
+                    results.append(_post(server, _query_body(query)))
                 except Exception as exc:  # pragma: no cover - surfaced by assert
                     errors.append(exc)
 
             threads = [threading.Thread(target=client) for _ in range(12)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(30.0)
+            finally:
+                server.stop()
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors
         assert len(results) == 12
-        assert all(r.ok and r.result.value == reference for r in results)
-        assert all(r.served_from in ("cache", "coalesced", "solver")
-                   for r in results)
+        assert all(status == 200 and payload["ok"] for status, payload in results)
+        assert all(payload["result"]["value"] == reference.value
+                   and tuple(payload["result"]["center"]) == reference.center
+                   for _, payload in results)
+        assert all(payload["served_from"] in ("cache", "coalesced", "solver")
+                   for _, payload in results)
 
     def test_close_serves_already_queued_requests(self):
-        service = MaxRSService(POINTS).start()
-        pending = [service.submit(ServiceRequest.static(Query.rectangle(1.0, 1.0)))
-                   for _ in range(4)]
-        service.close()
-        responses = [p.result(timeout=10.0) for p in pending]
-        assert all(r.ok for r in responses)
+        # stop() answers every admitted request: four requests wait in the
+        # admission queue behind a blocked window when stop() is called.
+        with MaxRSService(POINTS) as service:
+            server = MaxRSServer(service, max_pending=8, max_batch=1)
+            gate = service.serve = _GatedServe(service)
+            server.start_in_thread()
+            results = []
+            clients = [threading.Thread(target=lambda: results.append(_post(
+                server, _query_body(Query.rectangle(1.0, 1.0)))))
+                for _ in range(5)]
+            for thread in clients:
+                thread.start()
+            _wait_for(lambda: _admitted(server) == 5)
+            assert gate.entered.wait(10.0)
+            # the first window is blocked in serve(); the rest are queued
+            assert server.snapshot()["server"]["max_queue_depth"] >= 4
+            stopper = threading.Thread(target=server.stop)
+            stopper.start()
+            gate.release.set()
+            stopper.join(30.0)
+            for thread in clients:
+                thread.join(30.0)
+        assert not stopper.is_alive()
+        assert not any(thread.is_alive() for thread in clients)
+        assert len(results) == 5
+        assert all(status == 200 and payload["ok"] for status, payload in results)
 
     def test_pending_result_times_out(self):
-        service = MaxRSService(POINTS)  # dispatcher never started
-        from repro.service.server import PendingResponse
-        pending = PendingResponse(ServiceRequest.static(Query.disk(1.0)), 0.0)
-        assert not pending.done()
-        with pytest.raises(TimeoutError):
-            pending.result(timeout=0.01)
-        service.close()
+        # A client deadline fires while serve() is blocked, and the load
+        # generator's run still returns (recording a transport error).
+        with MaxRSService(POINTS) as service:
+            server = MaxRSServer(service, max_pending=8)
+            gate = service.serve = _GatedServe(service)
+            server.start_in_thread()
+            event = RequestEvent(kind="query", arrival=0.0, query=Query.disk(1.0))
+            try:
+                started = time.monotonic()
+                report = run_loadgen(server.host, server.port, [event],
+                                     clients=1, timeout=0.2)
+                elapsed = time.monotonic() - started
+            finally:
+                gate.release.set()
+                server.stop()
+        assert gate.entered.is_set()
+        assert elapsed < 10.0
+        assert report.errors == 1 and report.served == 0
+        assert report.records[0].status == 0
 
     def test_dispatcher_survives_serving_core_failure(self):
-        # Regression: an exception escaping _serve_window killed the
-        # dispatcher thread, leaving every in-flight result() blocking
-        # forever and the queue growing behind a dead dispatcher.
-        service = MaxRSService(POINTS).start()
-        try:
-            boom = RuntimeError("injected serving-core bug")
-            original = service._serve_window
+        # An exception escaping serve() fails only its own window (500);
+        # the server's dispatcher lives on and serves the next request.
+        with MaxRSService(POINTS) as service:
+            server = MaxRSServer(service, max_pending=8)
+            real_serve = service.serve
+            calls = []
 
-            def exploding(entries):
-                raise boom
+            def exploding_once(requests):
+                calls.append(len(requests))
+                if len(calls) == 1:
+                    raise RuntimeError("injected serving-core bug")
+                return real_serve(requests)
 
-            service._serve_window = exploding
-            pending = service.submit(ServiceRequest.static(Query.disk(1.0)))
-            response = pending.result(timeout=10.0)  # pre-fix: TimeoutError
-            assert not response.ok and response.error is boom
-            assert response.served_from == "error"
-            service._serve_window = original
-            recovered = service.submit(ServiceRequest.static(Query.disk(1.0)))
-            assert recovered.result(timeout=10.0).ok  # dispatcher still alive
-        finally:
-            service.close()
+            service.serve = exploding_once
+            server.start_in_thread()
+            try:
+                failed = _post(server, _query_body(Query.disk(1.0)))
+                recovered = _post(server, _query_body(Query.disk(1.0)))
+            finally:
+                server.stop()
+        assert failed[0] == 500
+        assert failed[1]["error"] == {"type": "RuntimeError",
+                                      "message": "injected serving-core bug"}
+        assert recovered[0] == 200 and recovered[1]["ok"]
+        assert calls == [1, 1]
 
     def test_sharded_flush_failure_keeps_dispatcher_alive(self):
-        # The threaded face of the unguarded-solve_batch bug: the malformed
-        # query's flush must resolve (with a per-response error), not kill
-        # the dispatcher.
+        # A request that decodes but fails the sharded flush gets its own
+        # per-response error, and the next request is served.
         with MaxRSService(POINTS, routing="sharded") as service:
-            bad = service.submit(ServiceRequest.static(
-                Query.rectangle(1.0, 1.0, backend="bogus")))
-            response = bad.result(timeout=10.0)
-            assert not response.ok and isinstance(response.error, ValueError)
-            good = service.submit(ServiceRequest.static(Query.disk(1.0)))
-            assert good.result(timeout=10.0).ok
+            server = MaxRSServer(service, max_pending=8).start_in_thread()
+            try:
+                bad = _post(server, _query_body(
+                    Query.rectangle(1.0, 1.0, backend="bogus")))
+                good = _post(server, _query_body(Query.disk(1.0)))
+            finally:
+                server.stop()
+        assert bad[0] == 200
+        assert not bad[1]["ok"] and bad[1]["error"]["type"] == "ValueError"
+        assert "bogus" in bad[1]["error"]["message"]
+        assert good[0] == 200 and good[1]["ok"]
 
     def test_post_close_submit_and_serve_raise(self):
-        # Regression: submit() after close() silently respawned the
-        # dispatcher over an engine whose resources were already released.
-        service = MaxRSService(POINTS).start()
-        service.close()
-        assert service.closed
-        with pytest.raises(RuntimeError):
-            service.submit(ServiceRequest.static(Query.disk(1.0)))
+        service = MaxRSService(POINTS)
+        server = MaxRSServer(service, max_pending=8).start_in_thread()
+        try:
+            service.close()
+            assert service.closed
+            status, payload = _post(server, _query_body(Query.disk(1.0)))
+        finally:
+            server.stop()
+        assert status == 500 and payload["error"]["type"] == "RuntimeError"
         with pytest.raises(RuntimeError):
             service.serve([ServiceRequest.static(Query.disk(1.0))])
         with pytest.raises(RuntimeError):
-            service.start()
-        assert service._dispatcher is None  # no silent respawn
+            service.request(ServiceRequest.static(Query.disk(1.0)))
         service.close()  # idempotent
+
+    def test_serve_waiting_on_the_lock_across_close_raises(self):
+        # Regression: serve() checked `closed` before taking the serving
+        # lock, so a call that passed the check while close() ran was then
+        # served on the closed engine (and respawned its worker pool).
+        service = MaxRSService(POINTS, routing="sharded",
+                               executor="shared-process", workers=2)
+        lock = service._lock = _ParkingLock(service._lock)
+        outcome = {}
+
+        def call():
+            try:
+                outcome["responses"] = service.serve(
+                    [ServiceRequest.static(Query.disk(1.0))])
+            except RuntimeError as exc:
+                outcome["error"] = exc
+
+        lock.thread = thread = threading.Thread(target=call)
+        thread.start()
+        try:
+            assert lock.parked.wait(10.0)
+            service.close()
+        finally:
+            lock.resume.set()
+            thread.join(30.0)
+        assert not thread.is_alive()
+        assert "responses" not in outcome
+        assert isinstance(outcome.get("error"), RuntimeError)
+        assert service.engine._executor._pool is None

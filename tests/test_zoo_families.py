@@ -114,9 +114,9 @@ class TestDecayLongHorizon:
     """Long tick horizons must never underflow the global scale to 0.0
     (which zeroed every stored weight) nor let stored weights blow up."""
 
-    def _monitor(self, decay, prune_below=0.0):
+    def _monitor(self, decay, prune_below=0.0, epsilon=0.25):
         monitor = DecayingMaxRSMonitor(decay=decay, radius=1.0, seed=17,
-                                       prune_below=prune_below)
+                                       epsilon=epsilon, prune_below=prune_below)
         for i in range(12):
             monitor.observe((0.05 * i, 0.0), weight=3.0)   # heavy cluster
         for i in range(6):
@@ -149,19 +149,41 @@ class TestDecayLongHorizon:
         assert 0.0 < after.value < before.value
         assert math.dist(after.center, (0.3, 0.0)) < 1.5
 
-    def test_many_single_ticks_bound_stored_weights(self):
-        monitor = self._monitor(decay=0.3)
+    def _tick_one_at_a_time(self, monitor, steps, observe_every):
+        """Apply ``steps`` single ticks, checking the stored-weight bound
+        every 5 steps; returns how many renormalisations ran."""
         max_raw = 3.0
         bound = max_raw / DecayingMaxRSMonitor._RENORM_THRESHOLD * (1 + 1e-9)
-        for step in range(120):
+        renormalized_at = []
+        renormalize = monitor._renormalize
+
+        def counted():
+            renormalized_at.append(monitor.ticks)
+            renormalize()
+
+        monitor._renormalize = counted
+        for step in range(steps):
             monitor.tick()
-            if step % 20 == 0:  # keep live mass arriving at every scale epoch
+            if step % observe_every == 0:  # live mass at every scale epoch
                 monitor.observe((0.1, 0.0), weight=max_raw)
             if step % 5 == 0:
                 self._assert_finite_internals(monitor)
                 for _, (_, stored) in monitor._structure.points().items():
                     assert stored <= bound
         self._assert_finite_internals(monitor)
+        return len(renormalized_at)
+
+    def test_many_single_ticks_bound_stored_weights(self):
+        # At decay 0.3 the scale crosses the threshold every 12 ticks, so 30
+        # ticks renormalise twice.  A coarse epsilon keeps each rebuild of
+        # the dynamic structure cheap; the slow twin runs 120 ticks.
+        monitor = self._monitor(decay=0.3, epsilon=0.45)
+        assert self._tick_one_at_a_time(monitor, steps=30, observe_every=10) >= 2
+
+    @pytest.mark.slow
+    def test_many_single_ticks_bound_stored_weights_long_horizon(self):
+        monitor = self._monitor(decay=0.3)
+        assert self._tick_one_at_a_time(monitor, steps=120, observe_every=20) >= 10
 
     def test_annihilating_tick_leaves_empty_but_valid_monitor(self):
         monitor = self._monitor(decay=0.001)
