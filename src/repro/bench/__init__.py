@@ -1,38 +1,27 @@
-"""Benchmark harness: timing helpers, table formatting and the E1-E15 experiments.
+"""Benchmark harness: declarative grid suites, artifacts and the regression gate.
 
-The paper has no empirical tables (it is a theory paper), so EXPERIMENTS.md
-defines one experiment per theorem / claim (see DESIGN.md section 4).  Each
-experiment is a function in :mod:`repro.bench.experiments` (E1-E10) or
-:mod:`repro.bench.experiments_extended` (E11-E15) that generates the
-workload, runs the relevant solvers and returns an :class:`ExperimentReport`
-whose rows can be printed as a plain-text table, and
-:mod:`repro.bench.recorder` archives reports as CSV/JSON.
-
-Performance benchmarking lives here too: :mod:`repro.bench.grid` drives
-declarative workload x size x backend x executor grids (``repro bench
-grid``) over the engine / kernels / streaming / service / parallel layers,
-:mod:`repro.bench.suites` declares the built-in suites (the
-``benchmarks/bench_*.py`` scripts are thin wrappers over them), and
-:mod:`repro.bench.compare` regresses the unified ``repro-bench-grid/1``
-artifacts against the committed ``PERF_HISTORY.jsonl`` trajectory with a
-configurable noise band (``repro bench compare``).
+:mod:`repro.bench.grid` drives declarative workload x size x backend x
+executor grids (``repro bench grid``) and :mod:`repro.bench.suites`
+declares the built-in suites: the engine / kernels / streaming / service /
+parallel / serving layers, and ``paper`` (:mod:`repro.bench.paper`), whose
+experiments E1-E15 check the source paper's claims.  Every run writes one
+``repro-bench-grid/1`` artifact through :mod:`repro.bench.recorder`, and
+:mod:`repro.bench.compare` regresses artifacts against the committed
+``PERF_HISTORY.jsonl`` trajectory with a configurable noise band
+(``repro bench compare``).
 """
 
-from .harness import ExperimentReport, Timer, format_table, geometric_sizes
 from .recorder import (
     append_history,
     atomic_write_text,
     load_history,
-    report_to_dict,
     write_bench_json,
-    write_report_csv,
-    write_reports_csv_dir,
-    write_reports_json,
 )
 from .grid import (
     BENCH_SCHEMA,
     CaseResult,
     CheckResult,
+    ConfigError,
     GridCase,
     GridSuite,
     SuiteRun,
@@ -40,25 +29,14 @@ from .grid import (
     run_suite,
 )
 from .compare import compare_artifact, compare_gates, metric_direction, run_compare, self_test
-from . import experiments
-from . import experiments_extended
 
 __all__ = [
-    "Timer",
-    "ExperimentReport",
-    "format_table",
-    "geometric_sizes",
-    "experiments",
-    "experiments_extended",
-    "report_to_dict",
-    "write_report_csv",
-    "write_reports_csv_dir",
-    "write_reports_json",
     "atomic_write_text",
     "write_bench_json",
     "append_history",
     "load_history",
     "BENCH_SCHEMA",
+    "ConfigError",
     "GridCase",
     "CaseResult",
     "CheckResult",

@@ -3,8 +3,8 @@
 One grid suite declares a **workload x size x backend x executor** grid
 (:class:`GridCase`), runs every cell through the library's real entry
 points (engine, kernels, streaming monitors, serving front end, parallel
-executors -- see :mod:`repro.bench.suites`) and emits a single
-JSON artifact under the ``repro-bench-grid/1`` schema::
+executors, the paper's E1-E15 experiments -- see :mod:`repro.bench.suites`)
+and emits a single JSON artifact under the ``repro-bench-grid/1`` schema::
 
     {
       "schema": "repro-bench-grid/1",
@@ -31,10 +31,10 @@ JSON artifact under the ``repro-bench-grid/1`` schema::
     }
 
 ``checks`` are hard correctness gates (backend agreement, bit-for-bit
-executor equivalence, differential serving answers): any failed check makes
-the run exit non-zero.  ``gates`` are the machine-portable *ratio* metrics
-(speedups, throughput ratios) the noise-band comparator
-(:mod:`repro.bench.compare`) tracks against the committed
+executor equivalence, differential serving answers, the paper's claims):
+any failed check makes the run exit non-zero.  ``gates`` are the
+machine-portable *ratio* metrics (speedups, throughput ratios) the
+noise-band comparator (:mod:`repro.bench.compare`) tracks against the committed
 ``PERF_HISTORY.jsonl`` trajectory; ``summary`` additionally carries
 non-gated context metrics.  Each suite run also appends one JSON line --
 ``suite``, ``quick``, ``gates``, ``summary``, ``checks_passed`` -- to
@@ -57,6 +57,7 @@ from .recorder import append_history, write_bench_json
 
 __all__ = [
     "BENCH_SCHEMA",
+    "ConfigError",
     "GridCase",
     "CaseResult",
     "CheckResult",
@@ -69,6 +70,11 @@ __all__ = [
 ]
 
 BENCH_SCHEMA = "repro-bench-grid/1"
+
+
+class ConfigError(ValueError):
+    """An override no selected suite declares, or a config value a suite's
+    :meth:`GridSuite.build` rejects."""
 
 
 @dataclass(frozen=True)
@@ -251,7 +257,8 @@ def run_suite(name: str, quick: bool = False,
 
     ``overrides`` merges over the suite's :meth:`GridSuite.defaults` (the
     CLI exposes this as ``--set key=value``); ``spans=False`` skips the
-    optional span probe.
+    optional span probe.  A config value the suite cannot build from raises
+    :class:`ConfigError`.
     """
     from .suites import get_suite
 
@@ -259,7 +266,13 @@ def run_suite(name: str, quick: bool = False,
     config = dict(suite.defaults(quick))
     config.update(overrides or {})
     config["quick"] = bool(quick)
-    cases, context = suite.build(config)
+    try:
+        cases, context = suite.build(config)
+    except (TypeError, ValueError) as error:
+        # build only expands the config, so a type or value error there is
+        # a malformed override such as --set n_sweep=abc.
+        raise ConfigError("suite %s: %s (overrides: %s)" % (
+            suite.name, error, ", ".join(sorted(overrides or {})) or "none")) from error
     _log(log, "[%s] %d cases (%s)" % (suite.name, len(cases),
                                       "quick" if quick else "full"))
     results: List[CaseResult] = []
@@ -291,10 +304,22 @@ def run_grid(names: Optional[Sequence[str]] = None, quick: bool = False,
              log: Optional[Callable[[str], object]] = print) -> int:
     """Run the named suites (default: all), write one unified artifact and
     optionally append each suite's history line; returns the exit code
-    (1 on any failed correctness check, else 0)."""
-    from .suites import SUITES
+    (1 on any failed correctness check, else 0).
+
+    The same ``overrides`` apply to every selected suite, so a key must be
+    declared by at least one of them; otherwise :class:`ConfigError` is
+    raised before anything runs.
+    """
+    from .suites import SUITES, get_suite
 
     wanted = list(names) if names else sorted(SUITES)
+    declared = set()
+    for name in wanted:
+        declared.update(get_suite(name).defaults(quick))
+    unknown = sorted(set(overrides or {}) - declared)
+    if unknown:
+        raise ConfigError("no selected suite (%s) declares %s"
+                          % (", ".join(wanted), ", ".join(unknown)))
     runs = [run_suite(name, quick=quick, overrides=overrides,
                       spans=spans, log=log) for name in wanted]
     payload = {

@@ -1,21 +1,12 @@
-"""Persisting experiment reports and benchmark results to CSV, JSON and JSONL.
+"""Persisting benchmark results to JSON and JSONL.
 
-``python -m repro experiments run`` can archive the tables it prints so
-EXPERIMENTS.md (and any downstream analysis) can be regenerated from files
-rather than terminal scrollback, and ``repro bench grid`` persists its
-unified benchmark artifacts and the committed perf trajectory through the
-same module.  The formats are intentionally plain:
+``repro bench grid`` persists its unified benchmark artifacts and the
+committed perf trajectory through this module:
 
-* one CSV file per experiment: the report's header row followed by its data
-  rows, then a blank line and the claim outcomes (booleans use the JSON
-  spelling ``true``/``false`` so the CSV and JSON archives of one report
-  agree);
-* a single JSON file for a whole run: experiment id, title, headers, rows,
-  claims and notes;
 * one JSON document per benchmark grid run (:func:`write_bench_json`,
-  schema in :mod:`repro.bench.grid`) and one JSON line per suite run in the
-  committed ``PERF_HISTORY.jsonl`` trajectory (:func:`append_history` /
-  :func:`load_history`).
+  schema in :mod:`repro.bench.grid`);
+* one JSON line per suite run in the committed ``PERF_HISTORY.jsonl``
+  trajectory (:func:`append_history` / :func:`load_history`).
 
 Every writer is **atomic**: content lands in a temporary file in the
 destination directory which replaces the target via :func:`os.replace` only
@@ -25,19 +16,12 @@ committed artifact or the perf history.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import tempfile
-from typing import Callable, Dict, Iterable, List, Optional, TextIO
-
-from .harness import ExperimentReport
+from typing import Callable, Dict, Iterable, List, TextIO
 
 __all__ = [
-    "report_to_dict",
-    "write_report_csv",
-    "write_reports_json",
-    "write_reports_csv_dir",
     "atomic_write_text",
     "write_bench_json",
     "append_history",
@@ -45,8 +29,7 @@ __all__ = [
 ]
 
 
-def atomic_write_text(path: str, write: Callable[[TextIO], object],
-                      newline: Optional[str] = None) -> None:
+def atomic_write_text(path: str, write: Callable[[TextIO], object]) -> None:
     """Run ``write(handle)`` against a temporary file and atomically replace
     ``path`` with it.
 
@@ -58,71 +41,12 @@ def atomic_write_text(path: str, write: Callable[[TextIO], object],
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp",
                                     prefix=os.path.basename(path) + ".")
     try:
-        with os.fdopen(fd, "w", newline=newline) as handle:
+        with os.fdopen(fd, "w") as handle:
             write(handle)
         os.replace(tmp_path, path)
     finally:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
-
-
-def report_to_dict(report: ExperimentReport) -> Dict[str, object]:
-    """A JSON-serialisable view of one experiment report."""
-    return {
-        "experiment_id": report.experiment_id,
-        "title": report.title,
-        "headers": list(report.headers),
-        "rows": [list(row) for row in report.rows],
-        "claims": dict(report.claims),
-        "notes": list(report.notes),
-        "all_claims_hold": report.all_claims_hold,
-    }
-
-
-def _csv_value(value: object) -> object:
-    """CSV cell encoding: booleans use the JSON spelling (``true``/``false``)
-    so a report's CSV and JSON archives agree on claim outcomes."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return value
-
-
-def write_report_csv(report: ExperimentReport, path: str) -> None:
-    """Atomically write one report's table (and claim outcomes) as CSV."""
-    def _write(handle: TextIO) -> None:
-        writer = csv.writer(handle)
-        writer.writerow(report.headers)
-        for row in report.rows:
-            writer.writerow([_csv_value(cell) for cell in row])
-        if report.claims:
-            writer.writerow([])
-            writer.writerow(["claim", "holds"])
-            for description, holds in report.claims.items():
-                writer.writerow([description, _csv_value(holds)])
-
-    atomic_write_text(path, _write, newline="")
-
-
-def write_reports_json(reports: Iterable[ExperimentReport], path: str) -> None:
-    """Atomically write a collection of reports as one JSON document."""
-    payload: List[Dict[str, object]] = [report_to_dict(report) for report in reports]
-
-    def _write(handle: TextIO) -> None:
-        json.dump(payload, handle, indent=2, default=str)
-        handle.write("\n")
-
-    atomic_write_text(path, _write)
-
-
-def write_reports_csv_dir(reports: Iterable[ExperimentReport], directory: str) -> List[str]:
-    """Write one CSV per report into ``directory``; returns the file paths."""
-    os.makedirs(directory, exist_ok=True)
-    paths: List[str] = []
-    for report in reports:
-        path = os.path.join(directory, "%s.csv" % report.experiment_id.lower())
-        write_report_csv(report, path)
-        paths.append(path)
-    return paths
 
 
 def write_bench_json(payload: Dict[str, object], path: str) -> None:

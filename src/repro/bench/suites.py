@@ -1,9 +1,7 @@
 """The built-in benchmark grid suites.
 
-Each suite here subsumes one of the former ad-hoc benchmark scripts
-(``benchmarks/bench_{engine,kernels,streaming,service,parallel}.py`` are now
-thin wrappers over these specs) and declares its workload x size x backend x
-executor grid through the driver in :mod:`repro.bench.grid`:
+Each suite declares its workload x size x backend x executor grid through
+the driver in :mod:`repro.bench.grid`:
 
 * ``kernels``   -- every hot sweep kernel, pure-Python reference vs the
                    vectorised NumPy backend, with cross-backend agreement
@@ -38,7 +36,11 @@ executor grid through the driver in :mod:`repro.bench.grid`:
                    serving front end per routing mode, with the bit-for-bit
                    differential on direct routing, the strict value
                    differential on plan-aware routing, and the colored
-                   box3d solver checked direct vs engine.
+                   box3d solver checked direct vs engine;
+* ``paper``     -- experiments E1-E15, one case each, whose paper claims
+                   (approximation guarantees, exact-solver agreement, the
+                   (min,+) reductions, I/O counts) are its checks
+                   (:mod:`repro.bench.paper`).
 
 All imports of the measured subsystems happen lazily inside the suites so
 ``import repro.bench`` stays light.
@@ -51,10 +53,12 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .grid import CaseResult, CheckResult, GridCase, GridSuite, capture_spans, timed
+from .paper import PaperSuite
 
 __all__ = ["SUITES", "get_suite",
            "KernelsSuite", "EngineSuite", "StreamingSuite",
-           "ServiceSuite", "ParallelSuite", "ZooSuite", "ServingSloSuite"]
+           "ServiceSuite", "ParallelSuite", "ZooSuite", "ServingSloSuite",
+           "PaperSuite"]
 
 
 def _isclose(a: float, b: float) -> bool:
@@ -1212,7 +1216,7 @@ class ServingSloSuite(GridSuite):
 SUITES: Dict[str, Callable[[], GridSuite]] = {
     suite.name: suite for suite in
     (KernelsSuite, EngineSuite, StreamingSuite, ServiceSuite, ParallelSuite,
-     ZooSuite, ServingSloSuite)
+     ZooSuite, ServingSloSuite, PaperSuite)
 }
 """Registry of the built-in grid suites, keyed by suite name."""
 

@@ -1,10 +1,8 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Three command groups cover the day-to-day uses of the library without
+Seven subcommands cover the day-to-day uses of the library without
 writing Python:
 
-* ``experiments`` -- list the reproduction experiments (E1-E15) and run any
-  subset of them, optionally archiving the tables as CSV/JSON;
 * ``generate`` -- synthesise the workloads the experiments use (uniform,
   clustered, hotspot, trajectory) and write them to CSV;
 * ``solve`` -- run a MaxRS solver over a CSV point file: exact interval,
@@ -30,9 +28,10 @@ writing Python:
   (available on ``solve``, ``monitor`` and ``serve``) as a per-span-name
   summary table, the full span tree, or Prometheus-style text exposition
   (:mod:`repro.obs`; ``docs/observability.md``);
-* ``bench`` -- the unified performance-grid harness (``docs/benchmarks.md``):
+* ``bench`` -- the unified benchmark harness (``docs/benchmarks.md``):
   ``bench list`` names the declarative workload x size x backend x executor
-  suites, ``bench grid`` runs them (``--suite``, ``--quick``, ``--set
+  suites, among them ``paper`` with the reproduction experiments E1-E15,
+  ``bench grid`` runs them (``--suite``, ``--quick``, ``--set
   key=value`` overrides, ``--output`` artifact, ``--history`` trajectory
   append, ``--no-spans``) and writes one versioned ``repro-bench-grid/1``
   JSON artifact, ``bench compare`` regresses a ``--current`` artifact
@@ -52,14 +51,10 @@ import contextlib
 import os
 import sys
 import time
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import obs
 
-from .bench import experiments as _experiments
-from .bench import experiments_extended as _experiments_extended
-from .bench.harness import ExperimentReport
-from .bench.recorder import write_reports_csv_dir, write_reports_json
 from .boxes import colored_maxrs_box
 from .core import colored_maxrs_disk, max_range_sum_ball
 from .datasets import (
@@ -83,26 +78,7 @@ from .exact import (
     maxrs_rectangle_exact,
 )
 
-__all__ = ["build_parser", "main", "experiment_registry"]
-
-
-# --------------------------------------------------------------------------- #
-# experiment registry
-# --------------------------------------------------------------------------- #
-
-def experiment_registry() -> Dict[str, Callable[[], ExperimentReport]]:
-    """Map experiment ids (``"E1"``..``"E15"``) to their zero-argument drivers."""
-    registry: Dict[str, Callable[[], ExperimentReport]] = {}
-    for module in (_experiments, _experiments_extended):
-        for name in dir(module):
-            if not name.startswith("experiment_e"):
-                continue
-            driver = getattr(module, name)
-            if not callable(driver):
-                continue
-            experiment_id = name.split("_")[1].upper()  # "experiment_e11_..." -> "E11"
-            registry[experiment_id] = driver
-    return dict(sorted(registry.items(), key=lambda item: int(item[0][1:])))
+__all__ = ["build_parser", "main"]
 
 
 # --------------------------------------------------------------------------- #
@@ -127,40 +103,6 @@ def _trace_sink(path: Optional[str]) -> Iterator[None]:
         obs.remove_sink(sink)
         sink.close()
         print("trace:     wrote %d spans to %s" % (sink.spans_written, path))
-
-
-def _cmd_experiments(args: argparse.Namespace) -> int:
-    registry = experiment_registry()
-    if args.action == "list":
-        for experiment_id, driver in registry.items():
-            summary = (driver.__doc__ or "").strip().splitlines()
-            print("%-4s %s" % (experiment_id, summary[0] if summary else ""))
-        return 0
-
-    wanted = list(registry) if args.all or not args.ids else [i.upper() for i in args.ids]
-    unknown = [i for i in wanted if i not in registry]
-    if unknown:
-        print("unknown experiment ids: %s" % ", ".join(unknown), file=sys.stderr)
-        print("known ids: %s" % ", ".join(registry), file=sys.stderr)
-        return 2
-
-    reports: List[ExperimentReport] = []
-    for experiment_id in wanted:
-        report = registry[experiment_id]()
-        reports.append(report)
-        print(report.render())
-        print()
-    if args.json:
-        write_reports_json(reports, args.json)
-        print("wrote %s" % args.json)
-    if args.csv_dir:
-        for path in write_reports_csv_dir(reports, args.csv_dir):
-            print("wrote %s" % path)
-    failed = [r.experiment_id for r in reports if not r.all_claims_hold]
-    if failed:
-        print("claims FAILED for: %s" % ", ".join(failed), file=sys.stderr)
-        return 1
-    return 0
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -774,7 +716,7 @@ def _parse_overrides(pairs: Optional[Sequence[str]]) -> Optional[Dict[str, objec
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .bench.compare import run_compare
-    from .bench.grid import run_grid
+    from .bench.grid import ConfigError, run_grid
     from .bench.suites import SUITES
 
     if args.action == "list":
@@ -800,9 +742,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
-    return run_grid(names=args.suite or None, quick=args.quick,
-                    output=args.output, history=args.history,
-                    overrides=overrides, spans=not args.no_spans)
+    try:
+        return run_grid(names=args.suite or None, quick=args.quick,
+                        output=args.output, history=args.history,
+                        overrides=overrides, spans=not args.no_spans)
+    except ConfigError as error:
+        print(str(error), file=sys.stderr)
+        return 2
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -844,15 +790,6 @@ def build_parser() -> argparse.ArgumentParser:
                         version="%(prog)s " + __version__,
                         help="print the package version and exit")
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    experiments = subparsers.add_parser(
-        "experiments", help="list or run the reproduction experiments E1-E15")
-    experiments.add_argument("action", choices=["list", "run"])
-    experiments.add_argument("ids", nargs="*", help="experiment ids to run, e.g. E1 E11")
-    experiments.add_argument("--all", action="store_true", help="run every experiment")
-    experiments.add_argument("--json", help="archive all reports into one JSON file")
-    experiments.add_argument("--csv-dir", help="archive one CSV table per experiment")
-    experiments.set_defaults(func=_cmd_experiments)
 
     generate = subparsers.add_parser("generate", help="synthesise a workload and write it to CSV")
     generate.add_argument("kind", choices=["uniform", "clustered", "hotspot", "trajectory"])
@@ -1112,8 +1049,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "committed PERF_HISTORY.jsonl trajectory")
     bench.add_argument("--suite", action="append", default=None,
                        help="suite to run (repeatable; default: all of %s)"
-                            % "engine/kernels/parallel/service/serving_slo/"
-                              "streaming/zoo")
+                            % "engine/kernels/paper/parallel/service/"
+                              "serving_slo/streaming/zoo")
     bench.add_argument("--quick", action="store_true",
                        help="CI-sized workloads (the committed baselines in "
                             "PERF_HISTORY.jsonl are quick-mode)")

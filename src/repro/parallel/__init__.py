@@ -26,9 +26,9 @@ releases the store on ``close()``.  ``MaxRSService`` and the CLI
 (``--executor shared-process`` on ``solve`` / ``serve`` / ``monitor``)
 forward to the same path, and ``REPRO_EXECUTOR=shared-process`` forces it
 wherever an executor is not named explicitly.  See ``docs/parallel.md`` for
-the model, lifecycle rules and backend-selection guidance, and
-``benchmarks/bench_parallel.py`` (-> ``BENCH_parallel.json``) for the
-equality-gated speedup over the pickle-based backend.
+the model, lifecycle rules and backend-selection guidance, and the
+``parallel`` bench suite (``repro bench grid --suite parallel`` ->
+``BENCH_parallel.json``) for the equality-gated speedup over serial.
 """
 
 from .executor import SharedMemoryProcessExecutor, WorkerCrashError

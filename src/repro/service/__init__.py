@@ -28,7 +28,7 @@ Serving preserves the layers' guarantees: with the default
 ``routing="direct"`` every served answer is **bit-identical** to the direct
 solver call for the concrete query recorded on the response, and monitor
 reads are bit-identical to querying the monitor yourself at the same stream
-position (``benchmarks/bench_service.py`` enforces both differentially).
+position (the ``service`` bench suite enforces both differentially).
 
 Quickstart
 ----------

@@ -35,7 +35,7 @@ class TestGridBasics:
 
     def test_registry_names_every_benchmark_layer(self):
         assert set(SUITES) == {"kernels", "engine", "streaming", "service",
-                               "parallel", "zoo", "serving_slo"}
+                               "parallel", "zoo", "serving_slo", "paper"}
         for name in SUITES:
             suite = get_suite(name)
             assert suite.name == name
@@ -264,6 +264,24 @@ class TestBenchCli:
         assert main(["bench", "grid", "--suite", "kernels",
                      "--set", "nodelimiter"]) == 2
         assert "key=value" in capsys.readouterr().err
+
+    def test_bench_grid_misspelled_or_malformed_override_is_usage_error(
+            self, tmp_path, capsys):
+        # One --set list applies to every selected suite, so a key only
+        # fails when none of them declares it; nothing runs before that.
+        output = tmp_path / "g.json"
+        assert main(["bench", "grid", "--suite", "kernels", "--quick",
+                     "--set", "n_swep=500", "--output", str(output)]) == 2
+        err = capsys.readouterr().err
+        assert "n_swep" in err and "Traceback" not in err
+        assert not output.exists()
+        assert main(["bench", "grid", "--suite", "kernels", "--suite", "engine",
+                     "--quick", "--no-spans", "--set", "n_sweep=abc",
+                     "--output", str(output)]) == 2
+        assert "n_sweep" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="n_swep"):
+            run_grid(names=["kernels", "engine"], quick=True,
+                     output=str(output), overrides={"n_swep": 500}, log=None)
 
     def test_bench_grid_runs_and_compare_passes(self, tmp_path, capsys):
         output = str(tmp_path / "BENCH_grid.json")

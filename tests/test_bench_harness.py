@@ -1,165 +1,228 @@
-"""Tests for the benchmark harness utilities and (cheaply) the experiment drivers."""
+"""Tests for the ``paper`` grid suite (experiments E1-E15) and the grid
+helpers its drivers share with every other suite."""
+
+import dataclasses
 
 import pytest
 
-from repro.bench.harness import ExperimentReport, Timer, format_table, geometric_sizes
-from repro.bench import experiments
+from repro.bench.grid import CheckResult, SuiteRun, run_suite, timed
+from repro.bench.suites import get_suite
+
+
+def run_paper(*ids, log=None, **per_id):
+    """Run the quick ``paper`` suite on the given experiment ids."""
+    overrides = {"experiments": list(ids)}
+    overrides.update(per_id)
+    return run_suite("paper", quick=True, overrides=overrides, spans=False, log=log)
+
+
+def assert_claims_hold(run):
+    """The run produced rows for every case and every paper claim held."""
+    assert run.cases and all(case.metrics["rows"] for case in run.cases)
+    assert run.checks and run.ok, [check for check in run.checks if not check.passed]
+
+
+@pytest.fixture(scope="module")
+def e8_log():
+    lines = []
+    run = run_paper("E8", log=lines.append)
+    return run, lines
 
 
 class TestTimer:
+    """Drivers time their calls with ``grid.timed``."""
+
     def test_measures_elapsed_time(self):
-        with Timer() as timer:
-            total = sum(range(1000))
+        seconds, total = timed(lambda: sum(range(1000)))
         assert total == 499500
-        assert timer.elapsed >= 0.0
+        assert seconds >= 0.0
 
     def test_elapsed_is_zero_before_first_use(self):
-        assert Timer().elapsed == 0.0
+        calls = []
+        seconds, value = timed(lambda: calls.append(1) or len(calls), repeats=0)
+        assert calls == [1] and value == 1       # repeats < 1 still runs once
+        assert 0.0 <= seconds < float("inf")
 
     def test_reusable_and_measures_an_exceptional_block(self):
-        timer = Timer()
-        with timer:
-            pass
-        first = timer.elapsed
+        values = iter([3, 1, 2])
+        seconds, last = timed(lambda: next(values), repeats=3)
+        assert last == 2 and seconds >= 0.0     # best-of-3 time, last value
+
+        def explode():
+            raise RuntimeError("measured anyway")
+
         with pytest.raises(RuntimeError):
-            with timer:
-                raise RuntimeError("measured anyway")
-        assert timer.elapsed >= 0.0
-        assert first >= 0.0
+            timed(explode)
+        assert timed(lambda: "again")[1] == "again"
 
 
 class TestFormatTable:
-    def test_alignment_and_headers(self):
-        table = format_table(["name", "value"], [["a", 1.0], ["long-name", 123456.0]])
-        lines = table.splitlines()
-        assert lines[0].startswith("name")
-        assert len(lines) == 4
-        assert "long-name" in lines[3]
+    """``run_suite`` logs a header line, one line per case, one per check."""
 
-    def test_float_formatting(self):
-        table = format_table(["v"], [[0.000123], [0.0], [3.14159], [12345.6]])
-        assert "0.000123" in table
-        assert "3.142" in table
+    def test_alignment_and_headers(self, e8_log):
+        run, lines = e8_log
+        assert lines[0] == "[paper] 1 cases (quick)"
+        assert lines[1].startswith("  paper/E8/n=60 ")
+        check_lines = [line for line in lines if line.startswith("  check ")]
+        assert len(check_lines) == len(run.checks) == 2
+        assert all(line.endswith("[ok]") for line in check_lines)
+        assert "E8: a 2x2 rectangle never covers less weight" in check_lines[1]
+
+    def test_float_formatting(self, e8_log):
+        _, lines = e8_log
+        seconds = lines[1].split()[-1]
+        assert seconds.endswith("s")
+        whole, _, fraction = seconds[:-1].partition(".")
+        assert whole.isdigit() and len(fraction) == 3
 
 
 class TestExperimentReport:
+    """A paper claim is a ``CheckResult``; ``SuiteRun.ok`` is their verdict."""
+
+    @staticmethod
+    def _run(*checks):
+        return SuiteRun(suite="paper", quick=True, config={}, cases=[],
+                        checks=list(checks), summary={}, gates={})
+
     def test_claims_and_render(self):
-        report = ExperimentReport(experiment_id="EX", title="demo", headers=["a", "b"])
-        report.add_row(1, 2.0)
-        report.add_claim("holds", True)
-        report.add_claim("fails", False)
-        report.add_note("a note")
-        rendered = report.render()
-        assert "[EX] demo" in rendered
-        assert "[ok] holds" in rendered
-        assert "[FAIL] fails" in rendered
-        assert "note: a note" in rendered
-        assert not report.all_claims_hold
+        run = self._run(CheckResult("E0: holds", True),
+                        CheckResult("E0: fails", False, "worst row: ..."))
+        assert run.to_dict()["checks"] == [
+            {"name": "E0: holds", "passed": True, "detail": ""},
+            {"name": "E0: fails", "passed": False, "detail": "worst row: ..."}]
+        assert not run.ok
+        assert run.history_entry()["checks_passed"] is False
 
     def test_all_claims_hold_default(self):
-        report = ExperimentReport(experiment_id="EX", title="demo", headers=["a"])
-        assert report.all_claims_hold
+        assert self._run().ok
 
     def test_all_claims_hold_tracks_every_claim(self):
-        report = ExperimentReport(experiment_id="EX", title="demo", headers=["a"])
-        report.add_claim("first", True)
-        assert report.all_claims_hold
-        report.add_claim("second", False)
-        assert not report.all_claims_hold
-        report.add_claim("second", True)  # latest verdict per description wins
-        assert report.all_claims_hold
+        first, second = CheckResult("first", True), CheckResult("second", False)
+        run = self._run(first)
+        assert run.ok
+        run.checks.append(second)
+        assert not run.ok
+        second.passed = True
+        assert run.ok
 
 
 class TestExperimentsRunExitCode:
-    """`repro experiments run` must exit 1 when any claim fails, 0 otherwise."""
+    """`repro bench grid --suite paper` exits 1 when any claim fails, 0 otherwise."""
 
     @staticmethod
-    def _driver(holds: bool):
-        def driver():
-            report = ExperimentReport(experiment_id="E1", title="stub",
-                                      headers=["n"])
-            report.add_row(1)
-            report.add_claim("stubbed claim", holds)
-            return report
-        return driver
+    def _grid(tmp_path):
+        from repro.cli import main
+        return main(["bench", "grid", "--suite", "paper", "--quick", "--no-spans",
+                     "--set", 'experiments=["E8"]',
+                     "--output", str(tmp_path / "paper.json")])
 
-    def test_failed_claim_exits_one(self, monkeypatch, capsys):
-        import repro.cli as cli
-        monkeypatch.setattr(cli, "experiment_registry",
-                            lambda: {"E1": self._driver(False)})
-        assert cli.main(["experiments", "run", "E1"]) == 1
-        assert "claims FAILED for: E1" in capsys.readouterr().err
+    def test_failed_claim_exits_one(self, monkeypatch, tmp_path, capsys):
+        import repro.exact
 
-    def test_passing_claims_exit_zero(self, monkeypatch, capsys):
-        import repro.cli as cli
-        monkeypatch.setattr(cli, "experiment_registry",
-                            lambda: {"E1": self._driver(True)})
-        assert cli.main(["experiments", "run", "E1"]) == 0
-        assert "FAILED" not in capsys.readouterr().err
+        real = repro.exact.maxrs_rectangle_exact
+
+        def empty_rectangle(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), value=0.0)
+
+        # E8 claims a 2x2 square covers at least the weight of a unit disk.
+        monkeypatch.setattr(repro.exact, "maxrs_rectangle_exact", empty_rectangle)
+        assert self._grid(tmp_path) == 1
+        assert "FAIL [paper] E8: a 2x2 rectangle" in capsys.readouterr().out
+
+    def test_passing_claims_exit_zero(self, tmp_path, capsys):
+        assert self._grid(tmp_path) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
 
 class TestGeometricSizes:
+    """The suite's size defaults and its config validation."""
+
     def test_progression(self):
-        assert geometric_sizes(10, 2.0, 3) == [10, 20, 40]
+        suite = get_suite("paper")
+        quick, full = suite.defaults(True), suite.defaults(False)
+        ids = ["E%d" % k for k in range(1, 16)]
+        assert quick["experiments"] == full["experiments"] == ids
+        assert set(quick) == set(full) == {"experiments", *ids}
+        for eid in ids:
+            assert set(quick[eid]) == set(full[eid]), eid
+        assert quick["E1"] == {"sizes": [40, 60], "epsilons": [0.35], "seed": 1}
+        assert full["E1"] == {"sizes": [80, 160, 320], "epsilons": [0.2, 0.3, 0.4],
+                              "seed": 1}
+        assert quick["E6"]["point_counts"] == [50, 100]
+        assert full["E6"]["point_counts"] == [200, 400, 800]
+
+        # A partial override keeps the mode's defaults for the other keys.
+        config = {**quick, "experiments": ["E8"], "E8": {"n": 40}, "quick": True}
+        cases, _ = suite.build(config)
+        assert [case.case_id for case in cases] == ["paper/E8/n=40"]
+        assert config["E8"] == {"n": 40, "seed": 8}
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            geometric_sizes(0, 2.0, 3)
-        with pytest.raises(ValueError):
-            geometric_sizes(10, 1.0, 3)
-        with pytest.raises(ValueError):
-            geometric_sizes(10, 2.0, 0)
+        with pytest.raises(ValueError, match="unknown experiment ids: E42"):
+            run_paper("E42")
+        with pytest.raises(ValueError, match="E1 takes no size"):
+            run_paper("E1", E1={"size": [10]})
+        with pytest.raises(ValueError, match="list of ids"):
+            run_suite("paper", quick=True, overrides={"experiments": "E1"},
+                      spans=False, log=None)
 
 
 class TestExperimentDriversSmall:
-    """Each driver is exercised once on a tiny instance so the harness stays healthy.
+    """Each experiment runs as its quick ``paper`` case and every claim holds.
 
-    The full-size runs (whose tables EXPERIMENTS.md records) are executed via
-    ``python -m repro.bench.experiments``; here the goal is only that every
-    driver produces a well-formed report and that its claims hold at small scale.
+    Quick mode checks every claim except the four growth-shape claims (E1,
+    E2, E7, E13), whose measured growth goes to the summary instead.
     """
 
     def test_e1_small(self):
-        report = experiments.experiment_e1_static_ball(sizes=(40, 60), epsilons=(0.35,), seed=1)
-        assert report.rows and report.all_claims_hold
+        run = run_paper("E1")
+        assert_claims_hold(run)
+        assert "E1_cells_growth" in run.summary
 
     def test_e2_small(self):
-        report = experiments.experiment_e2_dynamic(stream_lengths=(60, 240), seed=2)
-        assert report.rows and report.all_claims_hold
+        run = run_paper("E2")
+        assert_claims_hold(run)
+        assert "E2_cells_per_update_growth" in run.summary
 
     def test_e3_small(self):
-        report = experiments.experiment_e3_colored_ball(entity_counts=(5, 8), seed=3)
-        assert report.rows and report.all_claims_hold
+        assert_claims_hold(run_paper("E3"))
 
     def test_e4_small(self):
-        report = experiments.experiment_e4_output_sensitive(opt_values=(3, 5), n=60, seed=4)
-        assert report.rows and report.all_claims_hold
+        assert_claims_hold(run_paper("E4"))
 
     def test_e5_small(self):
-        report = experiments.experiment_e5_colored_disk_eps(planted_opts=(4,), n=60,
-                                                            epsilons=(0.3,), seed=5)
-        assert report.rows and report.all_claims_hold
+        assert_claims_hold(run_paper("E5"))
 
     def test_e6_small(self):
-        report = experiments.experiment_e6_batched_maxrs(
-            sequence_lengths=(8, 12), point_counts=(50, 100), query_counts=(3, 5), seed=6,
-        )
-        assert report.rows and report.all_claims_hold
+        run = run_paper("E6")
+        assert_claims_hold(run)
+        assert len(run.checks) == 2
+
+    def test_e6_catches_a_wrong_oracle_answer(self, monkeypatch):
+        import repro.batched
+
+        real = repro.batched.batched_maxrs_1d
+
+        def one_answer_off(*args, **kwargs):
+            answers = real(*args, **kwargs)
+            answers[0] = dataclasses.replace(answers[0], value=answers[0].value + 1.0)
+            return answers
+
+        monkeypatch.setattr(repro.batched, "batched_maxrs_1d", one_answer_off)
+        run = run_paper("E6")
+        assert [check.name for check in run.checks if not check.passed] == [
+            "E6: the batched oracle equals the O(n^2) brute force for every query length"]
 
     def test_e7_small(self):
-        report = experiments.experiment_e7_bsei(sequence_lengths=(8, 12),
-                                                point_counts=(50, 100), seed=7)
-        assert report.rows and report.all_claims_hold
+        run = run_paper("E7")
+        assert_claims_hold(run)
+        assert "E7_oracle_time_growth" in run.summary
 
-    def test_e8_small(self):
-        report = experiments.experiment_e8_baselines(n=60, seed=8)
-        assert report.rows and report.all_claims_hold
+    def test_e8_small(self, e8_log):
+        assert_claims_hold(e8_log[0])
 
     def test_e9_small(self):
-        report = experiments.experiment_e9_ablation(n=60, sample_constants=(0.5, 1.0),
-                                                    shift_caps=(1, None), seed=9)
-        assert report.rows and report.all_claims_hold
+        assert_claims_hold(run_paper("E9"))
 
     def test_e10_small(self):
-        report = experiments.experiment_e10_crossover(instance_sizes=(50, 80), seed=10)
-        assert report.rows and report.all_claims_hold
+        assert_claims_hold(run_paper("E10"))

@@ -1,30 +1,26 @@
-"""Tests for the atomic recorder writers, CSV/JSON consistency and history I/O."""
+"""Tests for the atomic recorder writers, artifact JSON consistency and history I/O."""
 
-import csv
 import json
 import os
 
 import pytest
 
-from repro.bench.harness import ExperimentReport
+from repro.bench.grid import BENCH_SCHEMA, run_suite
 from repro.bench.recorder import (
     append_history,
     atomic_write_text,
     load_history,
-    report_to_dict,
     write_bench_json,
-    write_report_csv,
-    write_reports_json,
 )
 
 
-def _report(claim: bool = True) -> ExperimentReport:
-    report = ExperimentReport(experiment_id="E99", title="atomicity probe",
-                              headers=["n", "ok"])
-    report.add_row(10, True)
-    report.add_row(20, False)
-    report.add_claim("writer is atomic", claim)
-    return report
+@pytest.fixture(scope="module")
+def paper_artifact():
+    """A ``repro-bench-grid/1`` payload of one quick E12 run: its rows carry
+    booleans (``values_match``) next to integer I/O counts."""
+    run = run_suite("paper", quick=True, overrides={"experiments": ["E12"]},
+                    spans=False, log=None)
+    return run, {"schema": BENCH_SCHEMA, "quick": True, "suites": [run.to_dict()]}
 
 
 # --------------------------------------------------------------------------- #
@@ -62,11 +58,12 @@ class TestAtomicWrites:
             atomic_write_text(str(path), exploding)
         assert os.listdir(str(tmp_path)) == []
 
-    def test_report_writers_survive_crash(self, tmp_path, monkeypatch):
-        # The high-level writers route through the same atomic path: fail the
+    def test_report_writers_survive_crash(self, tmp_path, monkeypatch, paper_artifact):
+        # The artifact writer routes through the same atomic path: fail the
         # final rename and the original artifact must survive.
-        path = tmp_path / "report.csv"
-        write_report_csv(_report(), str(path))
+        _, payload = paper_artifact
+        path = tmp_path / "BENCH_paper.json"
+        write_bench_json(payload, str(path))
         original = path.read_text()
 
         def exploding_replace(src, dst):
@@ -74,7 +71,7 @@ class TestAtomicWrites:
 
         monkeypatch.setattr("repro.bench.recorder.os.replace", exploding_replace)
         with pytest.raises(OSError):
-            write_report_csv(_report(claim=False), str(path))
+            write_bench_json({"schema": BENCH_SCHEMA, "suites": []}, str(path))
         assert path.read_text() == original
         assert [name for name in os.listdir(str(tmp_path))
                 if name.endswith(".tmp")] == []
@@ -87,44 +84,35 @@ class TestAtomicWrites:
 
 
 # --------------------------------------------------------------------------- #
-# CSV <-> JSON consistency
+# artifact <-> run consistency
 # --------------------------------------------------------------------------- #
 
 class TestCsvJsonConsistency:
-    def test_csv_booleans_use_json_spelling(self, tmp_path):
-        # Regression: csv.writer stringified Python booleans as True/False
-        # while the JSON archive emitted true/false for the same report.
-        path = str(tmp_path / "report.csv")
-        write_report_csv(_report(), path)
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert rows[1] == ["10", "true"]
-        assert rows[2] == ["20", "false"]
-        assert rows[-1] == ["writer is atomic", "true"]
-        flat = "".join(",".join(row) for row in rows)
-        assert "True" not in flat and "False" not in flat
+    def test_csv_booleans_use_json_spelling(self, tmp_path, paper_artifact):
+        # Booleans in rows and checks are JSON booleans, never the Python
+        # spelling of a stringified value.
+        _, payload = paper_artifact
+        path = tmp_path / "BENCH_paper.json"
+        write_bench_json(payload, str(path))
+        text = path.read_text()
+        assert '"values_match": true' in text
+        assert '"passed": true' in text
+        assert "True" not in text and "False" not in text
 
-    def test_csv_json_claims_round_trip(self, tmp_path):
-        report = _report(claim=False)
-        csv_path = str(tmp_path / "report.csv")
-        json_path = str(tmp_path / "report.json")
-        write_report_csv(report, csv_path)
-        write_reports_json([report], json_path)
+    def test_csv_json_claims_round_trip(self, tmp_path, paper_artifact):
+        run, payload = paper_artifact
+        path = str(tmp_path / "BENCH_paper.json")
+        write_bench_json(payload, path)
+        with open(path) as handle:
+            suite = json.load(handle)["suites"][0]
+        assert suite["checks"] == [check.to_dict() for check in run.checks]
+        assert all(check["name"].startswith("E12: ") for check in suite["checks"])
 
-        with open(json_path) as handle:
-            json_claims = json.load(handle)[0]["claims"]
-        with open(csv_path, newline="") as handle:
-            rows = list(csv.reader(handle))
-        claim_start = rows.index(["claim", "holds"]) + 1
-        csv_claims = {description: holds
-                      for description, holds in rows[claim_start:]}
-        # The CSV's cells, parsed as JSON scalars, must equal the JSON claims.
-        assert {k: json.loads(v) for k, v in csv_claims.items()} == json_claims
-
-    def test_report_to_dict_round_trips_through_json(self):
-        payload = report_to_dict(_report())
+    def test_report_to_dict_round_trips_through_json(self, paper_artifact):
+        run, _ = paper_artifact
+        payload = run.to_dict()
         assert json.loads(json.dumps(payload)) == payload
-        assert payload["all_claims_hold"] is True
+        assert run.ok and run.history_entry()["checks_passed"] is True
 
 
 # --------------------------------------------------------------------------- #

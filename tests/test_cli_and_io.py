@@ -1,18 +1,13 @@
-"""Tests for the command-line interface, CSV point I/O and the report recorder."""
+"""Tests for the command-line interface, CSV point I/O and the benchmark artifact writer."""
 
-import csv
 import json
 
 import pytest
 
-from repro.bench.harness import ExperimentReport
-from repro.bench.recorder import (
-    report_to_dict,
-    write_report_csv,
-    write_reports_csv_dir,
-    write_reports_json,
-)
-from repro.cli import build_parser, experiment_registry, main
+from repro.bench.grid import BENCH_SCHEMA, run_grid, run_suite
+from repro.bench.paper import EXPERIMENTS
+from repro.bench.recorder import write_bench_json
+from repro.cli import build_parser, main
 from repro.datasets import read_points_csv, write_points_csv
 
 
@@ -65,47 +60,52 @@ class TestPointCsv:
 
 
 # --------------------------------------------------------------------------- #
-# report recorder
+# benchmark artifacts of the paper suite
 # --------------------------------------------------------------------------- #
 
-def _sample_report(experiment_id="E99"):
-    report = ExperimentReport(experiment_id=experiment_id, title="sample",
-                              headers=["n", "value"])
-    report.add_row(10, 1.5)
-    report.add_row(20, 3.0)
-    report.add_claim("values grow", True)
-    report.add_note("synthetic report used by the recorder tests")
-    return report
+@pytest.fixture(scope="module")
+def e12_run():
+    """One quick E12 run (deterministic I/O counts, cheap)."""
+    return run_suite("paper", quick=True, overrides={"experiments": ["E12"]},
+                     spans=False, log=None)
 
 
 class TestRecorder:
-    def test_report_to_dict_is_json_serialisable(self):
-        payload = report_to_dict(_sample_report())
-        assert json.dumps(payload)
-        assert payload["all_claims_hold"] is True
-        assert payload["rows"] == [[10, 1.5], [20, 3.0]]
+    def test_report_to_dict_is_json_serialisable(self, e12_run):
+        payload = e12_run.to_dict()
+        assert json.loads(json.dumps(payload)) == payload
+        rows = payload["cases"][0]["metrics"]["rows"]
+        assert [row["n"] for row in rows] == [128, 256]
+        assert payload["gates"] == {}
 
-    def test_write_report_csv(self, tmp_path):
-        path = str(tmp_path / "report.csv")
-        write_report_csv(_sample_report(), path)
+    def test_write_report_csv(self, e12_run, tmp_path):
+        path = str(tmp_path / "BENCH_paper.json")
+        write_bench_json({"schema": BENCH_SCHEMA, "suites": [e12_run.to_dict()]}, path)
         with open(path) as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == ["n", "value"]
-        assert rows[1] == ["10", "1.5"]
-        assert ["claim", "holds"] in rows
+            suite = json.load(handle)["suites"][0]
+        assert suite["suite"] == "paper"
+        assert suite["cases"][0]["metrics"]["rows"] == e12_run.cases[0].metrics["rows"]
 
     def test_write_reports_json(self, tmp_path):
-        path = str(tmp_path / "reports.json")
-        write_reports_json([_sample_report("E98"), _sample_report("E99")], path)
-        with open(path) as handle:
-            payload = json.load(handle)
-        assert [p["experiment_id"] for p in payload] == ["E98", "E99"]
+        output = str(tmp_path / "BENCH_paper.json")
+        status = run_grid(names=["paper"], quick=True, output=output,
+                          overrides={"experiments": ["E12", "E8"]},
+                          spans=False, log=None)
+        assert status == 0
+        with open(output) as handle:
+            artifact = json.load(handle)
+        assert [case["id"] for case in artifact["suites"][0]["cases"]] == [
+            "paper/E12/n=256", "paper/E8/n=60"]
 
     def test_write_reports_csv_dir(self, tmp_path):
-        paths = write_reports_csv_dir([_sample_report("E98"), _sample_report("E99")],
-                                      str(tmp_path / "out"))
-        assert len(paths) == 2
-        assert all(p.endswith(".csv") for p in paths)
+        history = str(tmp_path / "PERF_HISTORY.jsonl")
+        run_grid(names=["paper"], quick=True, output=str(tmp_path / "g.json"),
+                 history=history, overrides={"experiments": ["E8"]},
+                 spans=False, log=None)
+        with open(history) as handle:
+            entry = json.loads(handle.read())
+        assert entry["suite"] == "paper" and entry["checks_passed"] is True
+        assert entry["gates"] == {}
 
 
 # --------------------------------------------------------------------------- #
@@ -114,12 +114,13 @@ class TestRecorder:
 
 class TestExperimentRegistry:
     def test_contains_all_fifteen_experiments(self):
-        registry = experiment_registry()
-        assert list(registry) == ["E%d" % i for i in range(1, 16)]
+        assert list(EXPERIMENTS) == ["E%d" % i for i in range(1, 16)]
 
     def test_every_driver_is_callable(self):
-        for driver in experiment_registry().values():
-            assert callable(driver)
+        for experiment in EXPERIMENTS.values():
+            assert callable(experiment.driver)
+            assert experiment.driver.__doc__
+            assert experiment.size_key in experiment.full
 
 
 class TestCli:
@@ -128,13 +129,16 @@ class TestCli:
             build_parser().parse_args([])
 
     def test_experiments_list(self, capsys):
-        assert main(["experiments", "list"]) == 0
+        assert main(["bench", "list"]) == 0
         out = capsys.readouterr().out
-        assert "E1 " in out and "E15" in out
+        assert "paper" in out and "E1-E15" in out
 
     def test_experiments_run_unknown_id(self, capsys):
-        assert main(["experiments", "run", "E42"]) == 2
-        assert "unknown experiment ids" in capsys.readouterr().err
+        assert main(["bench", "grid", "--suite", "paper", "--quick",
+                     "--set", 'experiments=["E42"]']) == 2
+        err = capsys.readouterr().err
+        assert "unknown experiment ids: E42" in err
+        assert "Traceback" not in err
 
     def test_generate_and_solve_disk(self, tmp_path, capsys):
         csv_path = str(tmp_path / "workload.csv")
