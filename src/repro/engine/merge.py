@@ -19,6 +19,7 @@ key), which keeps the merged result deterministic under every executor.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.result import MaxRSResult
@@ -37,10 +38,8 @@ def merge_shard_results(
     it should be the underlying solver's canonical empty-input result so the
     engine is indistinguishable from the direct call on empty inputs.
     """
-    best: Optional[MaxRSResult] = None
-    for result in results:
-        if best is None or result.value > best.value:
-            best = result
+    # max() keeps the first of equal maxima
+    best: Optional[MaxRSResult] = max(results, key=attrgetter("value"), default=None)
     if best is None:
         if empty is None:
             raise ValueError("cannot merge zero shard results without an `empty` fallback")

@@ -344,9 +344,11 @@ class Query:
           low.  The disk sweeps are quadratic only in the worst case: both
           kernels prune circle pairs with a neighbour grid, so a point's cost
           depends on its local density, which a halo shard does not lower.
-          Measured on 1k clustered points with cold plans, the direct call
-          took 5.75 ms on the NumPy kernels against 9.8-60 ms sharded, and
-          17.5 ms on the Python loops against 18-27 ms sharded.
+          Measured on the ``engine`` bench suite's clustered disk workload at
+          1k points (radius 1, cold plans, serial executor with 1-4 workers,
+          2-vCPU x86-64 VM), the direct call took 26 ms on the NumPy kernels
+          against 42-44 ms sharded, and 155 ms on the Python loops against
+          133-215 ms sharded.
         * ``"sampled"`` -- the near-linear approximate solvers, whose large
           per-call fixed costs argue for one shard per worker.
 
@@ -358,6 +360,16 @@ class Query:
         if self.colored and self.shape in ("rectangle", "box"):
             return "quadratic"
         return "linearithmic"
+
+    @property
+    def sweep_kernel(self) -> Optional[str]:
+        """The kernel whose ``auto`` threshold governs this query's backend
+        (:data:`repro.kernels.KERNEL_AUTO_THRESHOLDS`): ``"disk_sweep"`` for
+        the exact weighted disk families, whose solvers bottom out in the
+        angular disk sweep; ``None`` (the default threshold) otherwise."""
+        if self.shape == "disk" and self.exact and not self.colored:
+            return "disk_sweep"
+        return None
 
     @property
     def shard_mode(self) -> str:
@@ -537,16 +549,19 @@ def _route_query(
                                 backend=query.backend)
 
 
-def resolve_task_backend(backend: str, shard_population: int) -> str:
+def resolve_task_backend(backend: str, shard_population: int,
+                         kernel: Optional[str] = None) -> str:
     """Per-shard kernel-backend choice, shared by the batch planner and the
     streaming monitors.
 
     ``"auto"`` resolves against the *shard's* population (not the whole
     dataset's), so fine shards run the pure-Python loops -- no NumPy per-call
-    overhead -- while big shards vectorise.  Explicit backend names are
-    validated (unknown names raise ``ValueError``) and returned unchanged.
+    overhead -- while big shards vectorise; ``kernel`` names the kernel
+    whose :data:`repro.kernels.KERNEL_AUTO_THRESHOLDS` entry applies (see
+    :attr:`Query.sweep_kernel`).  Explicit backend names are validated
+    (unknown names raise ``ValueError``) and returned unchanged.
     """
-    return resolve_backend(backend, shard_population)
+    return resolve_backend(backend, shard_population, kernel)
 
 
 def _array_inputs(query: Query, n: int) -> bool:
@@ -556,7 +571,7 @@ def _array_inputs(query: Query, n: int) -> bool:
     takes tuple lists."""
     return (query.exact and not query.colored
             and query.family in ("single", "batched")
-            and resolve_backend(query.backend, n) == "numpy")
+            and resolve_backend(query.backend, n, query.sweep_kernel) == "numpy")
 
 
 def _solve_shard_task(task) -> MaxRSResult:
@@ -1039,7 +1054,7 @@ class QueryEngine:
                     task_query = query
                     if query.backend == "auto":
                         task_query = replace(query, backend=resolve_task_backend(
-                            "auto", len(indices)))
+                            "auto", len(indices), query.sweep_kernel))
                     source = (block.descriptor(dataset, ordinal)
                               if block is not None else self._slice(indices))
                     if traced:
@@ -1156,8 +1171,8 @@ class QueryEngine:
                     continue
                 task_query = base
                 if base.backend == "auto":
-                    task_query = replace(
-                        base, backend=resolve_task_backend("auto", len(live)))
+                    task_query = replace(base, backend=resolve_task_backend(
+                        "auto", len(live), base.sweep_kernel))
                 tasks.append((task_query, self._slice(live)))
             if not tasks:
                 break

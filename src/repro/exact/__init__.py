@@ -22,7 +22,7 @@ These are the algorithms the paper compares against (or builds on):
 
 from .interval1d import maxrs_interval_bruteforce, maxrs_interval_exact
 from .rectangle2d import maxrs_rectangle_exact
-from .disk2d import maxrs_disk_exact
+from .disk2d import maxrs_disk_exact, maxrs_disk_exact_segments
 from .colored_disk import colored_maxrs_disk_sweep
 from .colored_rectangle import colored_maxrs_interval_exact, colored_maxrs_rectangle_exact
 from .box3d import maxrs_box3d_exact, maxrs_box_bruteforce
@@ -33,6 +33,7 @@ __all__ = [
     "maxrs_interval_bruteforce",
     "maxrs_rectangle_exact",
     "maxrs_disk_exact",
+    "maxrs_disk_exact_segments",
     "maxrs_box3d_exact",
     "maxrs_box_bruteforce",
     "colored_maxrs_disk_sweep",

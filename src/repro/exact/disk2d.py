@@ -15,8 +15,11 @@ exactness oracle and baseline (see DESIGN.md, substitutions).  Both kernel
 backends prune the pairwise interaction tests with a uniform grid
 (:func:`repro.kernels.python_backend.disk_neighbor_candidates`), so the
 effective cost is quadratic only in the local density; the ``numpy`` backend
-additionally vectorises each circle's angular sweep (see
-:mod:`repro.kernels`).
+sweeps every circle in one flat, blocked pass (see :mod:`repro.kernels`).
+
+:func:`maxrs_disk_exact_segments` solves many independent point sets
+(*segments*, e.g. the dirty shards of a streaming monitor) in one kernel
+call; :func:`maxrs_disk_exact` is its one-segment case.
 
 The sweep-geometry helpers (:func:`circle_cover_events` and friends) live in
 :mod:`repro.kernels.python_backend` and are re-exported here for backwards
@@ -25,7 +28,7 @@ compatibility.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -39,7 +42,7 @@ from ..kernels.python_backend import (  # noqa: F401  (re-exported API)
     circle_cover_events,
 )
 
-__all__ = ["maxrs_disk_exact", "circle_cover_events"]
+__all__ = ["maxrs_disk_exact", "maxrs_disk_exact_segments", "circle_cover_events"]
 
 
 def maxrs_disk_exact(
@@ -56,6 +59,28 @@ def maxrs_disk_exact(
     angular sweep (``"python"``, ``"numpy"`` or ``"auto"``; see
     :mod:`repro.kernels`).
     """
+    return maxrs_disk_exact_segments(points, radius, weights=weights,
+                                     backend=backend)[0]
+
+
+def maxrs_disk_exact_segments(
+    points: Sequence,
+    radius: float = 1.0,
+    *,
+    offsets: Optional[Sequence[int]] = None,
+    weights: Optional[Sequence[float]] = None,
+    backend: str = "auto",
+) -> List[MaxRSResult]:
+    """Optimal disk placement of every segment of ``points``, in one call.
+
+    Segment ``s`` is rows ``offsets[s]:offsets[s + 1]`` (``offsets`` rises
+    from ``0`` to ``len(points)``; ``None`` makes all points one segment);
+    points of different segments never interact.  Returns one exact result
+    per segment, in order; an empty segment answers value ``0`` with no
+    center.  Weights must be non-negative.  ``"auto"`` resolves the backend
+    once, against the total number of points (the ``disk_sweep`` threshold
+    of :data:`repro.kernels.KERNEL_AUTO_THRESHOLDS`).
+    """
     if radius <= 0:
         raise ValueError("radius must be positive")
     # prefer_arrays: ndarray inputs (shared-memory shard slices) stay arrays
@@ -67,23 +92,24 @@ def maxrs_disk_exact(
     coords, weight_list, dim = normalize_weighted(points, weights,
                                                   require_positive=False,
                                                   prefer_arrays=prefer_arrays)
-    if len(coords) and dim != 2:
+    n = len(coords)
+    bounds = [0, n] if offsets is None else [int(offset) for offset in offsets]
+    if (not bounds or bounds[0] != 0 or bounds[-1] != n
+            or any(hi < lo for lo, hi in zip(bounds, bounds[1:]))):
+        raise ValueError("offsets must rise from 0 to the %d points, got %r"
+                         % (n, list(offsets)))
+    if n and dim != 2:
         raise ValueError("maxrs_disk_exact expects points in the plane")
     negative = ((weight_list < 0).any() if isinstance(weight_list, np.ndarray)
                 else any(w < 0 for w in weight_list))
     if negative:
         raise ValueError("maxrs_disk_exact requires non-negative weights")
-    if not len(coords):
-        return MaxRSResult(value=0.0, center=None, shape="ball", exact=True,
-                           meta={"radius": radius, "n": 0})
 
-    sweep = get_kernel(backend, "disk_sweep", len(coords))
-    best_value, best_center = sweep(coords, weight_list, radius)
-
-    return MaxRSResult(
-        value=best_value,
-        center=best_center,
-        shape="ball",
-        exact=True,
-        meta={"radius": radius, "n": len(coords)},
-    )
+    sweep = get_kernel(resolve_backend(backend, n, "disk_sweep"),
+                       "disk_sweep_segments")
+    answers = sweep(coords, weight_list, radius, bounds)
+    return [
+        MaxRSResult(value=value, center=center, shape="ball", exact=True,
+                    meta={"radius": radius, "n": hi - lo})
+        for (value, center), lo, hi in zip(answers, bounds, bounds[1:])
+    ]

@@ -27,6 +27,9 @@ contract*):
 ``rectangle_sweep``         2-d Imai--Asano rectangle sweep -> (value, corner)
 ``disk_neighbor_candidates`` per-point indices within ``2r`` (grid-bucketed)
 ``disk_sweep``              exact disk MaxRS angular sweep -> (value, center)
+``disk_sweep_segments``     ``disk_sweep`` of each segment of a flat input
+                            (``offsets`` delimit segments that never interact)
+                            -> one (value, center) per segment
 ``probe_depths``            weighted depth of many probes (Technique 1)
 ``colored_depth_batch``     colored depth of many probes (Technique 2)
 ========================== ==================================================
@@ -44,9 +47,14 @@ per call: the ``REPRO_BACKEND`` environment variable wins if set (this is how
 CI forces the whole tier-1 suite through the NumPy kernels), otherwise NumPy
 is chosen once the input size reaches :data:`AUTO_THRESHOLD` points and the
 pure-Python loops below it (small inputs are interpreter-bound either way and
-the reference loops avoid NumPy's per-call overhead).  The sharded engine
-resolves ``"auto"`` *per shard*, so fine shards stay on Python while big
-shards vectorise (:meth:`repro.engine.QueryEngine.solve_batch`).
+the reference loops avoid NumPy's per-call overhead).  A kernel may override
+the threshold in :data:`KERNEL_AUTO_THRESHOLDS`: the exact disk sweep's is a
+measured crossover of 20 points, taken against the *total* points of a
+call, so a segmented sweep over many small shards
+(:func:`repro.exact.maxrs_disk_exact_segments`) counts all of them.  The
+sharded engine resolves ``"auto"`` *per shard*, so fine shards stay on
+Python while big shards vectorise
+(:meth:`repro.engine.QueryEngine.solve_batch`).
 
 Adding a backend
 ----------------
@@ -88,10 +96,17 @@ AUTO_THRESHOLD = 512
 #: Per-kernel overrides of :data:`AUTO_THRESHOLD`.  The batched depth
 #: evaluators vectorise profitably at any size (they replace what was always
 #: an inline NumPy block, and a probe batch multiplies the work per point),
-#: so ``auto`` sends them to NumPy immediately.
+#: so ``auto`` sends them to NumPy immediately.  The flat NumPy disk sweep
+#: overtakes the Python loop at about 20 points of the live monitor's
+#: density (its shards at radius 0.25, median over 20 shards of the best of
+#: 30 runs, two rounds on a 2-vCPU x86-64 VM: 14 points 0.13 ms Python vs
+#: 0.17 ms NumPy, 18 points 0.27-0.30 vs 0.25-0.32, 20 points 0.32-0.33 vs
+#: 0.26-0.31); its segmented form resolves against the same threshold on
+#: the total points of a call.
 KERNEL_AUTO_THRESHOLDS: Dict[str, int] = {
     "probe_depths": 0,
     "colored_depth_batch": 0,
+    "disk_sweep": 20,
 }
 
 #: The functions a backend module may implement (the kernel contract).
@@ -100,6 +115,7 @@ KERNEL_NAMES: Tuple[str, ...] = (
     "rectangle_sweep",
     "disk_neighbor_candidates",
     "disk_sweep",
+    "disk_sweep_segments",
     "probe_depths",
     "colored_depth_batch",
 )

@@ -24,13 +24,22 @@ Each kernel restates the corresponding reference sweep of
     insertion-mass columns, which keeps the suspect sets tiny from the first
     chunk on.  Observed ~10x over the segment-tree sweep at ``n = 100k``.
 
-``disk_sweep`` / ``disk_neighbor_candidates``
-    A vectorised cell join generates every interacting pair at once (only
-    the 3x3 cell neighbourhood of a uniform ``2r`` grid can interact), all
-    arc geometry is computed in one flat pass over the pairs, and each
-    circle's angular sweep is restated as two prefix sums over its sorted
-    arc starts/ends.  Pivots are visited in decreasing upper-bound order so
-    the sweep stops once no remaining circle can win.
+``disk_sweep`` / ``disk_sweep_segments`` / ``disk_neighbor_candidates``
+    Every interacting pair is generated at once -- by a vectorised cell
+    join (only the 3x3 cell neighbourhood of a uniform ``2r`` grid can
+    interact; three key-range probes per point cover it), or, when every
+    segment is small, by pairing all points of a segment -- and all arc
+    geometry is computed in one flat pass over the pairs.  The circles are
+    then swept together, not one by one: pivots go in blocks of decreasing
+    upper bound, each block a padded grid of one row of arc events per
+    pivot -- one row-wise sort on exact integer keys, one row-wise
+    ``cumsum``, per-pivot maxima by ``argmax`` -- and pivots whose bound
+    cannot beat the best found are pruned between blocks.
+    ``disk_sweep_segments`` runs many independent point sets (a monitor's
+    dirty shards) through one such pass, kept apart so they never pair;
+    ``disk_sweep`` is its one-segment case.  Answers do not depend on what
+    else was swept alongside, so a halo shard reproduces the whole input's
+    answer bit for bit.
 
 ``probe_depths`` / ``colored_depth_batch``
     Dense pairwise distance blocks; colored depth reduces per-color coverage
@@ -55,6 +64,7 @@ __all__ = [
     "rectangle_sweep",
     "disk_neighbor_candidates",
     "disk_sweep",
+    "disk_sweep_segments",
     "probe_depths",
     "colored_depth_batch",
 ]
@@ -271,61 +281,98 @@ def rectangle_sweep(
 # disk kernels (2-d angular sweep)
 # --------------------------------------------------------------------------- #
 
+#: Most arcs one block of the flat disk sweep holds, counted on its padded
+#: event grid (pivots x the block's largest arc count; two events per arc).
+#: This bounds the sweep's working memory to about a megabyte whatever the
+#: input size, and since pivots are pruned between blocks, a smaller budget
+#: prunes at a finer grain.
+_DISK_BLOCK_PAIRS = 1 << 13
+
+#: Event key of a padding cell: sorts after every real event.
+_PAD_KEY = np.iinfo(np.uint64).max
+
+#: Segments of at most this many points skip the cell join: every two of
+#: their points are candidates.  At that size the join's bucketing and
+#: probes cost more NumPy calls than the extra distance tests they save.
+_DENSE_SEGMENT_POINTS = 64
+
+
 def _disk_interaction_pairs(
     pts: np.ndarray,
     radius: float,
-) -> Tuple[np.ndarray, np.ndarray]:
+    sizes: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, ...]:
     """All ordered pairs ``(i, j)``, ``j != i``, with ``dist <= 2r + 1e-12``.
 
-    Vectorised cell join: points are bucketed into a uniform grid of side
-    ``2r + 1e-9`` (so interacting pairs always sit in adjacent cells), and
-    for each of the nine cell offsets one ``searchsorted`` against the
-    cell-sorted point order finds every pivot's candidate run at once; the
-    runs are expanded to pairs with a ``repeat``/``arange`` trick and
-    distance-filtered.  Returns ``(pivot, other)`` index arrays sorted by
-    pivot (ties in unspecified order).
+    ``sizes`` (points per segment, every one at least 1, summing to
+    ``len(pts)``; ``None`` makes one segment) splits the points into
+    consecutive groups that never pair.  When no segment holds more than
+    :data:`_DENSE_SEGMENT_POINTS` points, every two points of a segment are
+    candidates.  Otherwise a vectorised cell join finds them: points are
+    bucketed into a uniform grid of side ``2r + 1e-9`` (so interacting
+    pairs always sit in adjacent cells), each segment's cells taken
+    relative to its own corner and its columns shifted past the previous
+    segment's with two empty columns between.  With row-major cell keys the
+    three cells ``(cx + dx, cy - 1 .. cy + 1)`` are one contiguous key
+    range, so three ``searchsorted`` range probes per point against the
+    cell-sorted order find every candidate run; the runs are expanded to
+    pairs with a ``repeat``/``arange`` trick.  Candidates are then
+    distance-filtered.
+
+    Returns ``(pivot, other, dx, dy, dist)``: index arrays grouped by
+    ascending pivot, and each pair's offset ``p_other - p_pivot`` and its
+    length.  Which candidates a pivot meets, and in which order, changes
+    only float rounding in the sums its sweep adds up in that order (its
+    upper bound and the weight its circle always covers); the sweep's
+    margins and re-scoring absorb that.
     """
     n = len(pts)
-    side = 2.0 * radius + 1e-9
+    sizes = np.array([n]) if sizes is None else sizes
+    if sizes.max() <= _DENSE_SEGMENT_POINTS:
+        # a pivot's candidates: its whole segment, in index order
+        lengths = sizes.repeat(sizes)
+        run_ends = lengths.cumsum()
+        pivot_of = np.arange(n).repeat(lengths)
+        other = ((sizes.cumsum() - sizes).repeat(sizes)
+                 - run_ends + lengths).repeat(lengths) + np.arange(int(run_ends[-1]))
+    else:
+        side = 2.0 * radius + 1e-9
+        cells = np.floor(pts / side).astype(np.int64)
+        if sizes.size == 1:
+            cells -= cells.min(axis=0)
+        else:
+            segment = np.arange(sizes.size).repeat(sizes)
+            cells -= np.minimum.reduceat(cells, sizes.cumsum() - sizes,
+                                         axis=0)[segment]
+            cells[:, 0] += segment * (cells[:, 0].max() + 3)
+        # +2: a row past the data keeps each column's probe range off the next
+        stride = cells[:, 1].max() + 2
+        key = cells[:, 0] * stride + cells[:, 1]
+        by_cell = np.argsort(key, kind="stable")
+        sorted_keys = key[by_cell]
+
+        # Pivot-major probes (three columns per pivot), so the expanded
+        # pairs come out grouped by pivot without a final sort.
+        probe = (key[:, None] + np.array([-stride, 0, stride])).ravel()
+        left = np.searchsorted(sorted_keys, probe - 1, side="left")
+        lengths = np.searchsorted(sorted_keys, probe + 1, side="right") - left
+        run_ends = lengths.cumsum()
+        pivot_of = np.arange(n).repeat(lengths.reshape(n, 3).sum(axis=1))
+        # run element k of probe p sits at left[p] + k: shift each run's
+        # left end back by the run's offset in the expanded array
+        other = by_cell[(left - run_ends + lengths).repeat(lengths)
+                        + np.arange(int(run_ends[-1]))]
+    xs, ys = pts[:, 0].copy(), pts[:, 1].copy()  # contiguous: faster gathers
+    dx = xs[other] - xs[pivot_of]
+    dy = ys[other] - ys[pivot_of]
     cutoff = 2.0 * radius + 1e-12
-    cells = np.floor(pts / side).astype(np.int64)
-    cx = cells[:, 0] - cells[:, 0].min()
-    cy = cells[:, 1] - cells[:, 1].min()
-    stride = cy.max() + 2  # +2: neighbor offsets reach one row past the data
-    key = cx * stride + cy
-    by_cell = np.argsort(key, kind="stable")
-    sorted_keys = key[by_cell]
-
-    pivot_chunks: List[np.ndarray] = []
-    other_chunks: List[np.ndarray] = []
-    for dx_cell in (-1, 0, 1):
-        for dy_cell in (-1, 0, 1):
-            probe = key + dx_cell * stride + dy_cell
-            left = np.searchsorted(sorted_keys, probe, side="left")
-            right = np.searchsorted(sorted_keys, probe, side="right")
-            lengths = right - left
-            total = int(lengths.sum())
-            if total == 0:
-                continue
-            pivots = np.repeat(np.arange(n), lengths)
-            # position within each run: global arange minus each run's offset
-            run_offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-            within = np.arange(total) - np.repeat(run_offsets, lengths)
-            others = by_cell[np.repeat(left, lengths) + within]
-            pivot_chunks.append(pivots)
-            other_chunks.append(others)
-
-    pivot_of = np.concatenate(pivot_chunks)
-    other = np.concatenate(other_chunks)
-    keep = (
-        (pivot_of != other)
-        & (np.hypot(pts[other, 0] - pts[pivot_of, 0],
-                    pts[other, 1] - pts[pivot_of, 1]) <= cutoff)
-    )
-    pivot_of = pivot_of[keep]
-    other = other[keep]
-    by_pivot = np.argsort(pivot_of, kind="stable")
-    return pivot_of[by_pivot], other[by_pivot]
+    # A squared-length test with slack far above its rounding error keeps
+    # every pair the exact test keeps, so only those pay for hypot.
+    near = (dx * dx + dy * dy <= (cutoff * (1.0 + 1e-9)) ** 2).nonzero()[0]
+    pivot_of, other, dx, dy = pivot_of[near], other[near], dx[near], dy[near]
+    dist = np.hypot(dx, dy)
+    keep = (pivot_of != other) & (dist <= cutoff)
+    return pivot_of[keep], other[keep], dx[keep], dy[keep], dist[keep]
 
 
 def disk_neighbor_candidates(
@@ -341,7 +388,7 @@ def disk_neighbor_candidates(
     n = len(pts)
     if n == 0:
         return []
-    pivot_of, other = _disk_interaction_pairs(pts, radius)
+    pivot_of, other = _disk_interaction_pairs(pts, radius)[:2]
     order = np.lexsort((other, pivot_of))
     counts = np.bincount(pivot_of, minlength=n)
     return np.split(other[order], np.cumsum(counts)[:-1])
@@ -354,107 +401,223 @@ def disk_sweep(
 ) -> Tuple[float, Optional[Tuple[float, float]]]:
     """Vectorised angular sweep; see :func:`repro.kernels.python_backend.disk_sweep`.
 
-    Per pivot circle the arc geometry, the event ordering and the running
-    weight are computed on whole candidate arrays.  A wrapping arc
-    ``(start, end)`` with ``end < start`` covers angle ``0``, so its weight
-    joins the base value at angle ``0`` and its two events (+w at ``start``,
-    -w at ``end``) reproduce the reference's split pieces.
-
-    Pivots are visited in decreasing order of their trivial upper bound (own
-    weight plus every candidate's weight); once the bound drops to the best
-    value found no remaining circle can improve the answer and the sweep
-    stops -- the same bound-and-prune the Technique 1 cell loop uses.  The
-    optimum value is unaffected; only which of several equally optimal
-    centers gets reported can differ from the reference backend.
-
-    Two restatements keep the per-pivot work off the interpreter.  All pair
-    geometry (distances, arc centers, half-widths, wrap-around) is computed
-    in one flat pass over every candidate pair.  Each circle's sweep then
-    avoids an event sort: with closed arcs, the value right after all arcs
-    opening at angle ``a`` is ``base + sum(w : start <= a) - sum(w : end <
-    a)``, so two per-pivot ``argsort``/``cumsum`` passes over starts and ends
-    plus one ``searchsorted`` evaluate every candidate angle at once.
+    The one-segment case of :func:`disk_sweep_segments`, which describes
+    the algorithm.
     """
-    pts = np.asarray(coords, dtype=float)
+    return disk_sweep_segments(coords, weights, radius, (0, len(coords)))[0]
+
+
+def disk_sweep_segments(
+    coords: Sequence[Coords],
+    weights: Sequence[float],
+    radius: float,
+    offsets: Sequence[int],
+) -> List[Tuple[float, Optional[Tuple[float, float]]]]:
+    """Independent angular sweeps of many segments in one flat pass.
+
+    Segment ``s`` is rows ``offsets[s]:offsets[s + 1]`` of ``coords`` and
+    ``weights``; points of different segments never interact.  Returns one
+    ``(value, center)`` per segment, in order (``(0.0, None)`` for an empty
+    segment); see :func:`repro.kernels.python_backend.disk_sweep_segments`.
+
+    All pair geometry (distances, arc centers, half-widths, wrap-around)
+    is computed in one pass over every candidate pair of every segment.
+    A concentric pair (``dist <= 1e-12``) covers the whole circle, so its
+    weight joins the pivot's base value; so does a wrapping arc ``(start,
+    end)`` with ``end < start``, which covers angle ``0``, and its two
+    events (+w at ``start``, -w at ``end``) reproduce the reference's split
+    pieces.
+
+    Pivots are visited in blocks of decreasing upper bound (own weight
+    plus every candidate's weight), each block's padded event grid holding
+    at most :data:`_DISK_BLOCK_PAIRS` pairs; before each block, pivots
+    whose bound falls short of their own segment's best are dropped -- the
+    same bound-and-prune the Technique 1 cell loop uses.  An input whose
+    pivots all fit one block is swept in index order.  A block is swept
+    flat (:func:`_sweep_block`): one sort, one ``cumsum`` and one ``argmax``
+    over every pivot's events at once.
+
+    The answer does not depend on which other points were swept
+    alongside.  With integer weights every sum is exact, so a pivot's
+    running value is its disk's weight.  Other weights leave each running
+    sum with the rounding of every arc its sweep passed, so a segment's
+    near-best pivots (within ``1e-9`` relative of its best running value;
+    pruning keeps that margin too) are re-scored canonically: the weights
+    of the points their disk covers, summed in point order.  The segment
+    reports the best value at the lowest-index pivot attaining it.  A
+    disk's covered points are what a halo shard keeps, so a shard holding
+    them reproduces the whole input's answer bit for bit.  Values equal
+    the reference backend's up to float reassociation (exactly, for exact
+    weight arithmetic); reported centers may be other, equally optimal
+    ones.
+    """
+    pts = np.asarray(coords, dtype=float).reshape(-1, 2)
     w = np.asarray(weights, dtype=float)
+    edges = np.asarray(offsets, dtype=np.int64)
+    sizes = edges[1:] - edges[:-1]
+    answers: List[Tuple[float, Optional[Tuple[float, float]]]] = (
+        [(0.0, None)] * sizes.size)
     n = len(pts)
     if n == 0:
-        return 0.0, None
-    xs = pts[:, 0]
-    ys = pts[:, 1]
-    two_r = 2.0 * radius
+        return answers
+    occupied = sizes.nonzero()[0]
+    segment = np.arange(occupied.size).repeat(sizes[occupied])
 
-    pivot_of, flat = _disk_interaction_pairs(pts, radius)
-    if pivot_of.size == 0:
-        # No interacting pairs at all: the best disk covers one point.
-        heaviest = int(np.argmax(w))
-        return float(w[heaviest]), (float(xs[heaviest] + radius), float(ys[heaviest]))
-    counts = np.bincount(pivot_of, minlength=n)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-
-    # Flat pair geometry (one vectorised pass over all candidate pairs).
-    dx = xs[flat] - xs[pivot_of]
-    dy = ys[flat] - ys[pivot_of]
-    dist = np.hypot(dx, dy)
-    pair_w = w[flat].copy()
+    pivot_of, other, dx, dy, dist = _disk_interaction_pairs(
+        pts, radius, sizes[occupied])
+    pair_w = w[other]
     full = dist <= 1e-12  # concentric: the whole circle is covered
     theta = np.mod(np.arctan2(dy, dx), TWO_PI)
-    half = np.arccos(np.minimum(1.0, dist / two_r))
+    half = np.arccos(np.minimum(1.0, dist / (2.0 * radius)))
     start = np.mod(theta - half, TWO_PI)
     end = np.mod(theta + half, TWO_PI)
     wrap = (end < start) & ~full
 
-    # Per-pivot constants: the trivial upper bound, and the value at angle 0
-    # (own weight + concentric disks + wrapping arcs, which all cover it).
-    bounds = w + np.bincount(pivot_of, weights=pair_w, minlength=n)
-    base0 = (
-        w
-        + np.bincount(pivot_of[full], weights=pair_w[full], minlength=n)
-        + np.bincount(pivot_of[wrap], weights=pair_w[wrap], minlength=n)
-    )
-    # Concentric pairs joined the base; zeroing their weight makes their
-    # (degenerate) arc events no-ops without per-pivot masking.
-    pair_w[full] = 0.0
+    # Per-pivot constants: the upper bound, and the value at angle 0 (own
+    # weight + concentric disks + wrapping arcs, which all cover it).
+    bound = w + np.bincount(pivot_of, weights=pair_w, minlength=n)
+    covers_zero = full | wrap
+    base = w + np.bincount(pivot_of[covers_zero], weights=pair_w[covers_zero],
+                           minlength=n)
+    # Concentric pairs have no events; the rest stay grouped by pivot.
+    arc = ~full
+    arcs = (start[arc], end[arc], pair_w[arc])
+    arc_count = np.bincount(pivot_of[arc], minlength=n)
+    arc_first = arc_count.cumsum() - arc_count
 
-    best_value = -math.inf
-    best_center: Optional[Tuple[float, float]] = None
-    bound_list = bounds.tolist()
-    base0_list = base0.tolist()
-    count_list = counts.tolist()
-    offset_list = offsets.tolist()
-    for i in np.argsort(-bounds, kind="stable").tolist():
-        if bound_list[i] <= best_value:
-            break
-        k = count_list[i]
-        value = base0_list[i]
-        angle = 0.0
-        if k:
-            lo = offset_list[i]
-            window = slice(lo, lo + k)
-            s = start[window]
-            e = end[window]
-            cw = pair_w[window]
-            by_start = np.argsort(s)
-            by_end = np.argsort(e)
-            s_sorted = s[by_start]
-            opened = np.cumsum(cw[by_start])          # sum(w : start <= a)
-            closed = np.empty(k + 1)                  # prefix sums over sorted ends
-            closed[0] = 0.0
-            np.cumsum(cw[by_end], out=closed[1:])
-            before = np.searchsorted(e[by_end], s_sorted, side="left")
-            candidates = opened - closed[before]
-            p = int(np.argmax(candidates))
-            open_best = value + float(candidates[p])
-            if open_best > value:
-                value = open_best
-                angle = float(s_sorted[p])
-        if value > best_value:
-            best_value = value
-            best_center = (
-                float(xs[i] + radius * math.cos(angle)),
-                float(ys[i] + radius * math.sin(angle)),
-            )
-    return best_value, best_center
+    best = np.full(occupied.size, -np.inf)
+    swept: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    if n * int(arc_count.max()) <= _DISK_BLOCK_PAIRS:
+        pending = np.arange(n)  # one block: no later block to prune
+    else:
+        pending = np.argsort(-bound, kind="stable")
+    while pending.size:
+        # the longest prefix whose padded grid (pivots x widest row) fits
+        padded = (np.maximum.accumulate(arc_count[pending])
+                  * np.arange(1, pending.size + 1))
+        take = max(1, int(padded.searchsorted(_DISK_BLOCK_PAIRS, side="right")))
+        block, pending = pending[:take], pending[take:]
+        values, angles = _sweep_block(block, arc_first, arc_count, arcs, base)
+        np.maximum.at(best, segment[block], values)
+        swept.append((block, values, angles))
+        if pending.size:
+            pending = pending[bound[pending] >= _near(best)[segment[pending]]]
+
+    pivots, scores, angles = (np.concatenate(column) for column in zip(*swept))
+    top = best
+    if not (np.array_equal(w, np.floor(w)) and np.abs(w).sum() < 2.0 ** 53):
+        # inexact weight arithmetic: running sums carry rounding
+        keep = scores >= _near(best)[segment[pivots]]
+        pivots, angles = pivots[keep], angles[keep]
+        scores = _covered_weight(pivots, angles,
+                                 (pivot_of, other, start, end, full, wrap), w)
+        top = np.full(occupied.size, -np.inf)
+        np.maximum.at(top, segment[pivots], scores)
+    owner = segment[pivots]
+    tied = (scores == top[owner]).nonzero()[0]
+    chosen = np.full(occupied.size, n)
+    np.minimum.at(chosen, owner[tied], pivots[tied])
+    angle_of = np.zeros(n)
+    angle_of[pivots] = angles
+    for rank, (s, i, angle) in enumerate(zip(occupied.tolist(), chosen.tolist(),
+                                             angle_of[chosen].tolist())):
+        answers[s] = (float(top[rank]),
+                      (float(pts[i, 0]) + radius * math.cos(angle),
+                       float(pts[i, 1]) + radius * math.sin(angle)))
+    return answers
+
+
+def _near(best: np.ndarray) -> np.ndarray:
+    """The lowest value still within float noise of each segment's best
+    (``-inf`` while a segment has none)."""
+    return best - 1e-9 * (1.0 + np.abs(best))
+
+
+def _covered_weight(
+    pivots: np.ndarray,
+    angles: np.ndarray,
+    pairs: Tuple[np.ndarray, ...],
+    w: np.ndarray,
+) -> np.ndarray:
+    """Weight of the disk centered on each pivot's circle at its angle,
+    summed over the covered points in point order.
+
+    A pair covers the angle exactly when the sweep counts it there:
+    concentric pairs always, a plain arc on ``start <= a <= end``, a
+    wrapping arc on ``a >= start`` or ``a <= end``.
+    """
+    pivot_of, other, start, end, full, wrap = pairs
+    pair_count = np.bincount(pivot_of, minlength=w.size)
+    count = pair_count[pivots]
+    first = (pair_count.cumsum() - pair_count)[pivots]
+    pair = (first - count.cumsum() + count).repeat(count) + np.arange(int(count.sum()))
+    row = np.arange(pivots.size).repeat(count)
+    a = angles.repeat(count)
+    s = start[pair]
+    e = end[pair]
+    covered = full[pair] | np.where(wrap[pair], (a >= s) | (a <= e),
+                                    (s <= a) & (a <= e))
+    rows = np.concatenate((np.arange(pivots.size), row[covered]))
+    points = np.concatenate((pivots, other[pair[covered]]))
+    order = (rows * w.size + points).argsort()
+    sizes = np.bincount(rows, minlength=pivots.size)
+    return np.add.reduceat(w[points[order]], sizes.cumsum() - sizes)
+
+
+def _sweep_block(
+    block: np.ndarray,
+    arc_first: np.ndarray,
+    arc_count: np.ndarray,
+    arcs: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    base: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Best ``(value, angle)`` on the circle of every pivot in ``block``.
+
+    With closed arcs the value right after every arc opening at angle ``a``
+    is ``base + sum(w : start <= a) - sum(w : end < a)``.  Each pivot's
+    events fill one row of a padded grid, keyed exactly: an angle's IEEE
+    bit pattern (ordered like the angle, as angles are non-negative)
+    shifted left, with the low bit set on closes so that an open sorts
+    before a close at the same angle.  One row-wise sort then orders every
+    row for the sweep, one row-wise ``cumsum`` gives every running value,
+    and ``argmax`` over the opening events each row's first peak.  A row's
+    sums depend on its own arcs alone, so a pivot's value is the same
+    whichever block or segment batch it is swept in (up to the order of
+    equal keys, which only non-integer weights can see, and which
+    :func:`_covered_weight` re-scores).
+    """
+    start, end, pair_w = arcs
+    counts = arc_count[block]
+    values = base[block]
+    angles = np.zeros(block.size)
+    width = 2 * int(counts.max())
+    if width == 0:
+        return values, angles
+    firsts = counts.cumsum() - counts
+    pair = (arc_first[block] - firsts).repeat(counts) + np.arange(int(counts.sum()))
+    # flat grid cells of the arcs' opening events (row * width + column),
+    # then of their closing events, ``count`` columns further on
+    opens = pair + (np.arange(block.size) * width - arc_first[block]).repeat(counts)
+    cells = np.concatenate((opens, opens + counts.repeat(counts)))
+    grid_key = np.full(block.size * width, _PAD_KEY, dtype=np.uint64)
+    grid_key[cells] = np.concatenate((start[pair].view(np.uint64) << 1,
+                                      (end[pair].view(np.uint64) << 1) | 1))
+    grid_key = grid_key.reshape(block.size, width)
+    weight = pair_w[pair]
+    grid_weight = np.zeros(block.size * width)
+    grid_weight[cells] = np.concatenate((weight, -weight))
+
+    order = grid_key.argsort(axis=1)
+    rows = np.arange(block.size)
+    running = grid_weight[order + (rows * width)[:, None]].cumsum(axis=1)
+    # opening events are the columns left of each row's arc count
+    opened = np.where(order < counts[:, None], running, -np.inf)
+    at = opened.argmax(axis=1)
+    peak = opened[rows, at]
+    rises = (peak > 0.0).nonzero()[0]
+    values[rises] += peak[rises]
+    angles[rises] = (grid_key[rises, order[rises, at[rises]]] >> 1).view(np.float64)
+    return values, angles
 
 
 # --------------------------------------------------------------------------- #

@@ -25,6 +25,7 @@ __all__ = [
     "rectangle_sweep",
     "disk_neighbor_candidates",
     "disk_sweep",
+    "disk_sweep_segments",
     "probe_depths",
     "colored_depth_batch",
 ]
@@ -287,6 +288,22 @@ def disk_sweep(
                 pivot[1] + radius * math.sin(angle),
             )
     return best_value, best_center
+
+
+def disk_sweep_segments(
+    coords: Sequence[Coords],
+    weights: Sequence[float],
+    radius: float,
+    offsets: Sequence[int],
+) -> List[Tuple[float, Optional[Tuple[float, float]]]]:
+    """:func:`disk_sweep` on every segment of a flat input, in order.
+
+    Segment ``s`` is rows ``offsets[s]:offsets[s + 1]`` (``offsets`` rises
+    from ``0`` to ``len(coords)``); points of different segments never
+    interact, and an empty segment answers ``(0.0, None)``.
+    """
+    return [disk_sweep(coords[lo:hi], weights[lo:hi], radius)
+            for lo, hi in zip(offsets, offsets[1:])]
 
 
 # --------------------------------------------------------------------------- #

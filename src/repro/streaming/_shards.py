@@ -17,7 +17,7 @@ stale.  Insertions come in two flavours with identical semantics:
 
 The store knows nothing about solvers, windows or results caches -- the
 monitors own those -- it only guarantees that every tile whose point set
-changed since the last :meth:`clean` call is in :attr:`dirty`.
+changed since it was last passed to :meth:`mark_clean` is in :attr:`dirty`.
 """
 
 from __future__ import annotations
@@ -157,8 +157,8 @@ class LiveShardStore:
         colors = [color for _, _, color in shard.values()]
         return coords, weights, colors
 
-    def clean(self) -> List[Key]:
-        """Return the dirty tiles in deterministic order and mark them clean."""
-        keys = sorted(self.dirty)
-        self.dirty.clear()
-        return keys
+    def mark_clean(self, keys: Sequence[Key]) -> None:
+        """Mark ``keys`` clean.  Call it only once their new results are
+        stored: a solve that raises must leave its tiles dirty, or the next
+        read would silently serve their stale results."""
+        self.dirty.difference_update(keys)

@@ -261,9 +261,9 @@ class MultiQueryMonitor(StreamMonitor):
     def _refresh(self) -> int:
         """Re-solve every (standing query, dirty tile) cell in one pass."""
         if self._store.dirty:
-            # Validate *before* draining the dirty set, so a usage error
-            # leaves the monitor recoverable: expire the uncolored points
-            # and the next query re-solves the still-dirty tiles.
+            # Validate *before* solving, so a usage error leaves the
+            # monitor recoverable: expire the uncolored points and the next
+            # query re-solves the still-dirty tiles.
             colored_queries = [q for q in self.queries.values() if q.colored]
             if colored_queries and self._uncolored_live:
                 raise ValueError(
@@ -271,7 +271,7 @@ class MultiQueryMonitor(StreamMonitor):
                     "(%d live observations have none)"
                     % (colored_queries[0].describe(), self._uncolored_live)
                 )
-        dirty = self._store.clean()
+        dirty = sorted(self._store.dirty)
         if not dirty:
             return 0
         all_colored = self._uncolored_live == 0
@@ -282,8 +282,8 @@ class MultiQueryMonitor(StreamMonitor):
             for name, query in self.queries.items():
                 task_query = query
                 if query.backend == "auto":
-                    task_query = replace(
-                        query, backend=resolve_task_backend("auto", len(coords)))
+                    task_query = replace(query, backend=resolve_task_backend(
+                        "auto", len(coords), query.sweep_kernel))
                 tasks.append((name, key, task_query, coords, weights, color_list))
         with obs.trace("monitor.refresh", dirty=len(dirty),
                        queries=len(self.queries), cells=len(tasks)):
@@ -293,6 +293,9 @@ class MultiQueryMonitor(StreamMonitor):
                 solved = [_solve_named_shard(task) for task in tasks]
         for name, key, result in solved:
             self._results[name][key] = result
+        # Only now: a solve that raised leaves its tiles dirty for the next
+        # query instead of serving their stale results.
+        self._store.mark_clean(dirty)
         self.total_shard_solves += len(tasks)
         return len(dirty)
 

@@ -4,9 +4,11 @@
 engine's halo-expanded spatial tiles (via
 :class:`repro.streaming._shards.LiveShardStore`) and caches one exact
 per-shard disk optimum per tile.  An insert or delete only marks the handful
-of tiles whose halo region contains the point as *dirty*; a query re-runs
-the ``O(m^2 log m)`` exact sweep on those tiles alone and takes the max over
-all cached shard results (:func:`repro.engine.merge.merge_shard_results`).
+of tiles whose halo region contains the point as *dirty*; a query re-solves
+those tiles alone -- all of them in one segmented exact sweep
+(:func:`repro.exact.maxrs_disk_exact_segments`, one segment per tile) -- and
+takes the max over all cached shard results
+(:func:`repro.engine.merge.merge_shard_results`).
 
 Compared with :class:`repro.streaming.monitor.ExactRecomputeMonitor` -- which
 re-solves the whole live set from scratch -- answers are identical (the halo
@@ -22,12 +24,12 @@ Beyond the original event-at-a-time interface the monitor is a full
   eviction to run boundaries, with final state provably identical to
   event-at-a-time application;
 * **kernel-registry backends** -- ``backend="auto" | "python" | "numpy"``
-  selects the per-shard sweep implementation, with ``"auto"`` resolved
-  *per shard* against the shard's population via the engine planner
-  (:func:`repro.engine.planner.resolve_task_backend`), exactly like the batch
-  engine's shard tasks;
-* **pluggable executors** -- ``executor="thread" | "process" | ...`` fans the
-  dirty-shard re-solves of one query out over an engine executor;
+  selects the sweep implementation, with ``"auto"`` resolved per sweep call
+  against the total points of the tiles it solves, on the disk sweep's
+  threshold (:func:`repro.engine.planner.resolve_task_backend`);
+* **pluggable executors** -- ``executor="thread" | "process" | ...`` splits
+  the dirty tiles of one query into one group per worker and solves each
+  group in one segmented call on an engine executor;
 * **sliding windows** -- ``window=N`` keeps only the most recent ``N``
   observations alive (count-based), ``time_window=T`` keeps only
   observations with ``timestamp > now - T`` where ``now`` is the largest
@@ -39,14 +41,17 @@ Beyond the original event-at-a-time interface the monitor is a full
 from __future__ import annotations
 
 from collections import deque
+from itertools import accumulate, chain
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..core.result import MaxRSResult
 from ..datasets.streams import UpdateEvent
 from ..engine.executors import Executor, get_executor
 from ..engine.merge import merge_shard_results
 from ..engine.planner import resolve_task_backend
-from ..exact.disk2d import maxrs_disk_exact
+from ..exact.disk2d import maxrs_disk_exact_segments
 from ..obs import tracing as obs
 from ._shards import LiveShardStore
 from .base import StreamMonitor
@@ -57,22 +62,23 @@ Coords = Tuple[float, ...]
 Key = Tuple[int, ...]
 
 
-def _solve_disk_shard(task):
-    """Executor task: exact disk sweep on one shard (picklable payload)."""
-    key, coords, weights, radius, backend = task
-    return key, maxrs_disk_exact(coords, radius=radius, weights=weights, backend=backend)
+def _solve_disk_group(task):
+    """Executor task: one segmented exact disk sweep over a group of shards
+    (picklable payload); returns one result per shard, in order."""
+    coords, weights, offsets, radius, backend = task
+    return maxrs_disk_exact_segments(coords, radius, offsets=offsets,
+                                     weights=weights, backend=backend)
 
 
-def _solve_disk_shard_traced(task):
-    """Traced executor task: like :func:`_solve_disk_shard` but run under a
-    worker-side span capture, returning ``(key, result, records)`` so the
-    monitor can graft the shard's ``shard.solve`` span into its trace."""
-    key, coords, weights, radius, backend = task
-    with obs.capture("shard.solve", shard=str(key), backend=backend,
+def _solve_disk_group_traced(task):
+    """Traced executor task: :func:`_solve_disk_group` under a worker-side
+    span capture, returning ``(results, records)`` so the monitor can graft
+    the group's ``shard.solve`` span into its trace."""
+    coords, _, offsets, _, backend = task
+    with obs.capture("shard.solve", shards=len(offsets) - 1, backend=backend,
                      points=len(coords)) as captured:
-        result = maxrs_disk_exact(coords, radius=radius, weights=weights,
-                                  backend=backend)
-    return key, result, captured.records
+        results = _solve_disk_group(task)
+    return results, captured.records
 
 
 class ShardedMaxRSMonitor(StreamMonitor):
@@ -87,14 +93,14 @@ class ShardedMaxRSMonitor(StreamMonitor):
         clamped to at least ``2 * radius`` so each point lands in at most
         four tiles.
     backend:
-        Kernel backend for the per-shard sweeps (:mod:`repro.kernels`);
-        ``"auto"`` resolves per shard against the shard population, like the
-        batch engine.
+        Kernel backend for the shard sweeps (:mod:`repro.kernels`);
+        ``"auto"`` resolves per sweep call against the total points of the
+        shards it solves.
     executor, workers:
         Optional engine executor (``"serial"`` / ``"thread"`` / ``"process"``
         or an :class:`~repro.engine.executors.Executor`) for solving the
-        dirty shards of one query in parallel.  ``None`` (default) solves
-        inline with zero dispatch overhead.
+        dirty shards of one query in parallel, one group of shards per
+        worker.  ``None`` (default) solves them all in one inline call.
     window:
         Count-based sliding window: only the most recent ``window``
         observations stay alive.
@@ -111,6 +117,8 @@ class ShardedMaxRSMonitor(StreamMonitor):
     many shards the query actually had to re-solve.  When a window is
     configured, delete events whose target was already evicted are ignored
     (the window got there first); without windows they raise ``KeyError``.
+    Weights must be non-negative (the exact sweep's precondition): a
+    negative weight is rejected with ``ValueError`` before anything changes.
     """
 
     def __init__(
@@ -258,6 +266,7 @@ class ShardedMaxRSMonitor(StreamMonitor):
             raise ValueError(
                 "a time_window monitor needs a timestamp on every observation"
             )
+        self._require_non_negative((weight,))
         handle = self._next_handle
         self._next_handle += 1
         self._store.insert(handle, point, float(weight))
@@ -285,6 +294,8 @@ class ShardedMaxRSMonitor(StreamMonitor):
             raise ValueError("got %d timestamps for %d points"
                              % (len(timestamps), len(points)))
         self._require_timestamps(timestamps, len(points))
+        if weights is not None:
+            self._require_non_negative(weights)
         handles = list(range(self._next_handle, self._next_handle + len(points)))
         self._next_handle += len(points)
         self._store.insert_batch(handles, points, weights)
@@ -306,6 +317,14 @@ class ShardedMaxRSMonitor(StreamMonitor):
             raise ValueError(
                 "a time_window monitor needs a timestamp on every observation"
             )
+
+    @staticmethod
+    def _require_non_negative(weights) -> None:
+        """Reject negative weights *before* any store mutation: the exact
+        disk sweep needs non-negative weights, and a point it cannot solve
+        must not reach the live set."""
+        if any(weight < 0 for weight in weights):
+            raise ValueError("ShardedMaxRSMonitor requires non-negative weights")
 
     def expire(self, handle: int) -> None:
         """Delete a previously observed point by its handle."""
@@ -335,8 +354,12 @@ class ShardedMaxRSMonitor(StreamMonitor):
         oldest-first eviction argument, to evicting after every event).
         Delete events are strict -- unknown targets raise ``KeyError`` --
         unless a sliding window is active, in which case a missing target
-        means the window already evicted it and the event is a no-op.
+        means the window already evicted it and the event is a no-op.  A
+        negative insert weight anywhere in the chunk rejects the whole chunk
+        before any event applies.
         """
+        self._require_non_negative(
+            [event.weight for event in events if event.kind == "insert"])
 
         def insert_run(run, first_index):
             handles = list(range(first_index, first_index + len(run)))
@@ -371,36 +394,56 @@ class ShardedMaxRSMonitor(StreamMonitor):
     # querying
     # ------------------------------------------------------------------ #
 
+    def _group_task(self, keys: Sequence[Key]):
+        """The payload of one solve group: the shards' points concatenated,
+        one segment per shard, with ``"auto"`` resolved on their total.  A
+        NumPy group travels as float arrays, which the solver validates in
+        a few array operations instead of point by point."""
+        shards = [self._store.shards[key] for key in keys]
+        offsets = list(accumulate(map(len, shards), initial=0))
+        points, weights, _ = zip(*chain.from_iterable(
+            shard.values() for shard in shards))
+        backend = resolve_task_backend(self.backend, offsets[-1], "disk_sweep")
+        if backend == "numpy":
+            coords = np.fromiter(chain.from_iterable(points), float, 2 * len(points))
+            return (coords.reshape(-1, 2), np.fromiter(weights, float, len(weights)),
+                    offsets, self.radius, backend)
+        return list(points), list(weights), offsets, self.radius, backend
+
     def current(self) -> MaxRSResult:
         """The current exact hotspot, re-solving only dirty shards.
 
-        Under tracing each read emits a ``monitor.query`` span with one
-        worker-captured ``shard.solve`` child per dirty shard and a
-        ``monitor.merge`` span over the cached-result fold.
+        The dirty shards are solved together: one segmented exact sweep
+        inline, or one per worker group on an executor.  They are marked
+        clean only once their results are stored, so a solve that raises
+        leaves them dirty for the next read.  Under tracing each read emits
+        a ``monitor.query`` span with one worker-captured ``shard.solve``
+        child per solve group (its ``shards`` tag counts the group's dirty
+        shards) and a ``monitor.merge`` span over the cached-result fold.
         """
-        dirty = self._store.clean()
+        dirty = sorted(self._store.dirty)
         recomputed = len(dirty)
         with obs.trace("monitor.query", dirty=recomputed,
                        live=len(self._store)) as query_span:
             if recomputed:
+                groups = [dirty]
+                pooled = self._executor is not None and recomputed > 1
+                if pooled:
+                    count = min(self._executor.workers, recomputed)
+                    groups = [dirty[first::count] for first in range(count)]
+                tasks = [self._group_task(keys) for keys in groups]
                 traced = obs.tracing_active()
-                tasks = []
-                for key in dirty:
-                    coords, weights, _ = self._store.entries(key)
-                    backend = resolve_task_backend(self.backend, len(coords))
-                    tasks.append((key, coords, weights, self.radius, backend))
-                task_fn = _solve_disk_shard_traced if traced else _solve_disk_shard
-                if self._executor is not None and len(tasks) > 1:
+                task_fn = _solve_disk_group_traced if traced else _solve_disk_group
+                if pooled:
                     solved = self._executor.map(task_fn, tasks)
                 else:
-                    solved = [task_fn(task) for task in tasks]
-                if traced:
-                    for key, result, records in solved:
+                    solved = [task_fn(tasks[0])]
+                for keys, answer in zip(groups, solved):
+                    if traced:
+                        answer, records = answer
                         query_span.graft(records)
-                        self._results[key] = result
-                else:
-                    for key, result in solved:
-                        self._results[key] = result
+                    self._results.update(zip(keys, answer))
+                self._store.mark_clean(dirty)
                 self.total_recomputes += recomputed
 
             empty = MaxRSResult(value=0.0, center=None, shape="ball", exact=True,

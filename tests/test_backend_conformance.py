@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro import kernels
@@ -214,6 +215,111 @@ def test_disk_neighbor_candidates_agree():
         assert list(reference) == [int(j) for j in vectorised]
 
 
+def test_disk_pairs_do_not_depend_on_the_cell_join(monkeypatch):
+    """Segments small enough to pair directly yield the same pairs, with
+    the same offsets, as the cell join finds for them."""
+    numpy_backend = kernels.get_backend("numpy")
+    points = clustered_points(150, dim=2, extent=4.0, clusters=3, seed=67)
+    pts = np.asarray(points + points[:30], dtype=float)
+    sizes = np.array([40, 1, 60, 49, 30])  # the last repeats the first's points
+
+    def pairs():
+        pivot, other, dx, dy, dist = numpy_backend._disk_interaction_pairs(
+            pts, 0.5, sizes)
+        order = np.lexsort((other, pivot))
+        return [column[order] for column in (pivot, other, dx, dy, dist)]
+
+    assert sizes.max() <= numpy_backend._DENSE_SEGMENT_POINTS
+    direct = pairs()
+    monkeypatch.setattr(numpy_backend, "_DENSE_SEGMENT_POINTS", 0)
+    joined = pairs()
+    assert len(direct[0]) > len(pts)
+    for mine, theirs in zip(direct, joined):
+        assert np.array_equal(mine, theirs)
+    segment = np.arange(sizes.size).repeat(sizes)
+    assert np.array_equal(segment[direct[0]], segment[direct[1]])
+
+
+def _segment_case(name):
+    """One segmented-sweep input: ``(segments, exact_arithmetic, pair
+    budget)``, each segment a ``(points, weights)`` pair; a budget replaces
+    the NumPy sweep's block size (``None`` keeps the default)."""
+    if name in DATASETS:
+        points, ws, exact_arith = _dataset(name)
+        cut = len(points) // 3
+        # an empty segment, and a last one repeating the first's points
+        return ([(points[:cut], ws[:cut]), ([], []), (points[cut:], ws[cut:]),
+                 (points[:40], ws[:40])], exact_arith, None)
+    if name == "identical":
+        points = clustered_points(60, dim=2, extent=3.0, clusters=2, seed=5)
+        return [(points, [1.0] * 60), (points, [2.0] * 60)], True, None
+    if name == "degenerate":
+        # a one-point segment, and concentric duplicates beside a neighbour
+        return ([([(0.0, 0.0)], [3.0]),
+                 ([(1.0, 1.0)] * 3 + [(1.5, 1.0)], [1.0, 2.0, 1.0, 1.0]),
+                 ([], [])], True, None)
+    if name == "pruned":
+        points, ws, exact_arith = _dataset("clustered")
+        return ([(points[:150], ws[:150]), (points[150:], ws[150:])],
+                exact_arith, 16)
+    raise AssertionError(name)
+
+
+@pytest.mark.parametrize("case", DATASETS + ("identical", "degenerate", "pruned"))
+def test_disk_sweep_segments_agree(case, monkeypatch):
+    """Every segment answers alone: backends agree per segment, and each
+    reported center re-scores within its own segment."""
+    numpy_backend = kernels.get_backend("numpy")
+    segments, exact_arith, budget = _segment_case(case)
+    blocks = []
+    if budget is not None:
+        monkeypatch.setattr(numpy_backend, "_DISK_BLOCK_PAIRS", budget)
+        sweep_block = numpy_backend._sweep_block
+        monkeypatch.setattr(numpy_backend, "_sweep_block",
+                            lambda *args: blocks.append(None) or sweep_block(*args))
+    coords = [p for points, _ in segments for p in points]
+    weights = [w for _, ws in segments for w in ws]
+    offsets = [0]
+    for points, _ in segments:
+        offsets.append(offsets[-1] + len(points))
+    answers = {backend: kernels.get_backend(backend).disk_sweep_segments(
+        coords, weights, 1.0, offsets) for backend in BACKENDS}
+    for backend, per_segment in answers.items():
+        assert len(per_segment) == len(segments), backend
+        for (value, center), (reference, _), (points, ws) in zip(
+                per_segment, answers["python"], segments):
+            if exact_arith:
+                assert value == reference, backend
+            else:
+                assert _close(value, reference), backend
+            if not points:
+                assert (value, center) == (0.0, None), backend
+                continue
+            score = weighted_depth(center, points, ws, radius=1.0)
+            assert _close(score, value), (
+                "%s reported a center scoring %r, not %r" % (backend, score, value))
+    if case == "identical":
+        # same coordinates, double the weights: no segment saw the other's
+        single, double = (value for value, _ in answers["numpy"])
+        assert double == 2 * single
+    if budget is not None:
+        assert len(blocks) > 2  # the budget split the pivots into blocks
+
+
+@pytest.mark.parametrize("dataset", ["uniform", "hotspot"])
+def test_numpy_disk_sweep_is_shard_stable(dataset):
+    """Real weights: the points within a halo of the optimal disk, kept in
+    order (as a halo shard keeps them), reproduce the whole input's answer
+    bit for bit, though its pivots lose candidates farther out."""
+    sweep = kernels.get_backend("numpy").disk_sweep
+    points, ws, _ = _dataset(dataset)
+    value, center = sweep(points, ws, 1.0)
+    near = [i for i, p in enumerate(points) if math.dist(p, center) <= 1.25]
+    assert len(near) < len(points)
+    assert sweep([points[i] for i in near], [ws[i] for i in near], 1.0) == (
+        value, center)
+
+
 def test_probe_depths_agree():
     points, ws = uniform_weighted_points(150, dim=2, extent=6.0, seed=67)
     probes = [(x + 0.25, y - 0.25) for x, y in points[:40]]
@@ -251,6 +357,23 @@ class TestRegistry:
         assert kernels.resolve_backend("auto", kernels.AUTO_THRESHOLD) == "numpy"
         # batched depth evaluation vectorises at any size
         assert kernels.resolve_backend("auto", 1, "probe_depths") == "numpy"
+
+    def test_disk_sweep_threshold_reaches_engine_tasks(self, monkeypatch):
+        from repro.engine import Query, resolve_task_backend
+        from repro.engine.planner import _array_inputs
+
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        disk = kernels.KERNEL_AUTO_THRESHOLDS["disk_sweep"]
+        assert disk < kernels.AUTO_THRESHOLD
+        assert kernels.resolve_backend("auto", disk - 1, "disk_sweep") == "python"
+        assert kernels.resolve_backend("auto", disk, "disk_sweep") == "numpy"
+        assert Query.disk(1.0).sweep_kernel == "disk_sweep"
+        assert Query.topk_disk(1.0, 2).sweep_kernel == "disk_sweep"
+        assert Query.rectangle(1.0, 1.0).sweep_kernel is None
+        assert Query.colored_disk(1.0).sweep_kernel is None
+        assert resolve_task_backend("auto", disk, "disk_sweep") == "numpy"
+        assert _array_inputs(Query.disk(1.0), disk)
+        assert not _array_inputs(Query.rectangle(1.0, 1.0), disk)
 
     def test_environment_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "numpy")

@@ -11,7 +11,11 @@ from repro.exact.bruteforce import (
     circle_circle_intersections,
     maxrs_disk_bruteforce,
 )
-from repro.exact.disk2d import circle_cover_events, maxrs_disk_exact
+from repro.exact.disk2d import (
+    circle_cover_events,
+    maxrs_disk_exact,
+    maxrs_disk_exact_segments,
+)
 
 
 class TestCircleCoverEvents:
@@ -85,6 +89,19 @@ class TestDiskExact:
         points = [(1.0, 1.0)] * 4
         result = maxrs_disk_exact(points, radius=0.5)
         assert result.value == 4.0
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_segments_answer_alone_and_validate_offsets(self, backend):
+        points = [(0.0, 0.0), (0.5, 0.0), (0.0, 0.0), (9.0, 9.0)]
+        results = maxrs_disk_exact_segments(points, 1.0, offsets=[0, 2, 2, 4],
+                                            backend=backend)
+        assert [r.value for r in results] == [2.0, 0.0, 1.0]
+        assert [r.meta["n"] for r in results] == [2, 0, 2]
+        assert results[1].center is None
+        for bad in ([0, 3], [1, 4], [0, 3, 2, 4], []):
+            with pytest.raises(ValueError, match="offsets"):
+                maxrs_disk_exact_segments(points, 1.0, offsets=bad,
+                                          backend=backend)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

@@ -318,7 +318,10 @@ class TestMonitorTracing:
         by_name = _span_index(query_traces[0])
         root = by_name["monitor.query"][0]
         assert root.tags["dirty"] >= 2
+        # one span per solve group (one group per worker), each counting
+        # the dirty shards it solved in one segmented sweep
         shard_spans = by_name["shard.solve"]
-        assert len(shard_spans) == root.tags["dirty"]
+        assert len(shard_spans) == 2
+        assert sum(span.tags["shards"] for span in shard_spans) == root.tags["dirty"]
         assert all(span.parent_id == root.span_id for span in shard_spans)
         assert by_name["monitor.merge"][0].parent_id == root.span_id

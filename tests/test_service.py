@@ -417,6 +417,20 @@ class TestMonitorServing:
         assert all(r.ok for r in recovered)
         assert recovered[1].result.value >= 1.0
 
+    def test_negative_weight_update_is_rejected_whole(self):
+        """An update carrying a negative weight -- which the exact disk sweep
+        cannot solve -- fails as a whole and leaves the live set as it was."""
+        monitor = ShardedMaxRSMonitor(radius=0.5)
+        with MaxRSService(monitor=monitor) as service:
+            service.serve([ServiceRequest.update([insert(10.0, 10.0),
+                                                  insert(10.2, 10.0)])])
+            failed = service.serve([ServiceRequest.update(
+                [insert(20.0, 20.0), insert(0.0, 0.0, weight=-1.0)])])[0]
+            assert not failed.ok and isinstance(failed.error, ValueError)
+            assert len(monitor) == 2
+            read = service.serve([ServiceRequest.read()])[0]
+        assert read.ok and read.result.value == 2.0
+
     def test_multi_query_monitor_reads_by_name(self):
         monitor = MultiQueryMonitor({"ops": Query.disk(1.0),
                                      "planning": Query.rectangle(2.0, 2.0)})

@@ -129,6 +129,99 @@ def test_multi_query_rejects_non_planar_and_empty_sets():
 
 
 # --------------------------------------------------------------------------- #
+# failed reads never leave stale answers; rejected input changes nothing
+# --------------------------------------------------------------------------- #
+
+def test_sharded_read_after_a_failed_solve_is_not_stale(monkeypatch):
+    import repro.streaming.sharded as sharded
+
+    monitor = ShardedMaxRSMonitor(radius=0.5)
+    monitor.observe((10.0, 10.0))
+    monitor.observe((10.2, 10.0))
+    assert monitor.current().value == 2.0
+    for i in range(4):
+        monitor.observe((20.0 + 0.01 * i, 20.0))
+    solve = sharded.maxrs_disk_exact_segments
+    calls = []
+
+    def fail_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise RuntimeError("solver crashed")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(sharded, "maxrs_disk_exact_segments", fail_once)
+    with pytest.raises(RuntimeError):
+        monitor.current()
+    assert monitor.dirty_shard_count > 0  # the failed tiles stay dirty
+    result = monitor.current()
+    assert result.value == 4.0
+    assert result.meta["recomputed"] > 0
+    assert monitor.dirty_shard_count == 0
+
+
+def test_multi_query_read_after_a_failed_solve_is_not_stale():
+    monitor = MultiQueryMonitor({"d": Query.disk(0.5)})
+    monitor.observe((10.0, 10.0))
+    monitor.observe((10.2, 10.0))
+    assert monitor.current()["d"].value == 2.0
+    negative = monitor.observe((0.0, 0.0), weight=-1.0)
+    for i in range(4):
+        monitor.observe((20.0 + 0.01 * i, 20.0))
+    with pytest.raises(ValueError):
+        monitor.current()
+    with pytest.raises(ValueError):
+        monitor.current()  # still failing, not a silently stale 2.0
+    monitor.expire(negative)
+    assert monitor.current()["d"].value == 4.0
+
+
+def test_sharded_read_solves_its_dirty_shards_in_one_call(monkeypatch):
+    """Three dirty tiles of 8 points each: one segmented sweep, resolved to
+    NumPy on the 24-point total although each tile is under the threshold."""
+    from repro import kernels
+
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    calls = []
+    for name in ("python", "numpy"):
+        module = kernels.get_backend(name)
+        real = module.disk_sweep_segments
+        monkeypatch.setattr(
+            module, "disk_sweep_segments",
+            lambda coords, weights, radius, offsets, _real=real, _name=name: (
+                calls.append((_name, len(offsets) - 1))
+                or _real(coords, weights, radius, offsets)))
+    monitor = ShardedMaxRSMonitor(radius=0.25)
+    for tile in range(3):
+        monitor.observe_batch([(10.0 * tile + 0.43 + 0.02 * i, 0.5)
+                               for i in range(8)])
+    assert 8 < kernels.KERNEL_AUTO_THRESHOLDS["disk_sweep"] <= 24
+    result = monitor.current()
+    assert calls == [("numpy", 3)]
+    assert result.value == 8.0 and result.meta["recomputed"] == 3
+
+
+def test_sharded_monitor_rejects_negative_weights_before_any_change():
+    from repro.datasets import UpdateEvent
+
+    monitor = ShardedMaxRSMonitor(radius=0.5)
+    monitor.observe((10.0, 10.0))
+    monitor.observe((10.2, 10.0))
+    with pytest.raises(ValueError, match="non-negative"):
+        monitor.observe((0.0, 0.0), weight=-1.0)
+    with pytest.raises(ValueError, match="non-negative"):
+        monitor.observe_batch([(1.0, 1.0)] * 40, [1.0] * 39 + [-1.0])
+    with pytest.raises(ValueError, match="non-negative"):
+        monitor.apply_batch([UpdateEvent(kind="insert", point=(2.0, 2.0)),
+                             UpdateEvent(kind="delete", target=0),
+                             UpdateEvent(kind="insert", point=(3.0, 3.0),
+                                         weight=-0.5)], 2)
+    assert len(monitor) == 2 and monitor.steps == 2
+    assert sorted(monitor._store.live) == [0, 1]
+    assert monitor.current().value == 2.0
+
+
+# --------------------------------------------------------------------------- #
 # sliding windows vs the brute-force window oracle
 # --------------------------------------------------------------------------- #
 
