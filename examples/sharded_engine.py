@@ -4,9 +4,11 @@ Mirrors ``examples/quickstart.py`` for the execution-engine layer
 (:mod:`repro.engine`).  A clustered workload is loaded into a
 :class:`~repro.engine.planner.QueryEngine`, which spatially shards the data
 with a halo matched to each query's extent, fans the shards out over a
-thread pool, merges the per-shard optima (exactly -- see
-``repro/engine/sharding.py`` for the argument).  The engine keeps no
-answers; caching is the serving layer's job (``examples/query_serving.py``).
+pool of worker processes that read the dataset from shared memory
+(``executor="shared-process"``, :mod:`repro.parallel`), and merges the
+per-shard optima (exactly -- see ``repro/engine/sharding.py`` for the
+argument).  The engine keeps no answers; caching is the serving layer's
+job (``examples/query_serving.py``).
 The script shows:
 
 * a heterogeneous batch (exact disk, exact rectangle, approximate ball, and
@@ -42,9 +44,9 @@ def main() -> None:
         Query.disk_approx(1.0, epsilon=0.4, seed=0),
         Query.disk(1.0),                       # duplicate: deduplicated for free
     ]
-    with QueryEngine(points, executor="thread", workers=WORKERS) as engine:
+    with QueryEngine(points, executor="shared-process", workers=WORKERS) as engine:
         results = engine.solve_batch(batch)
-        print("\nBatch of %d queries (%d unique) on a %d-worker thread pool"
+        print("\nBatch of %d queries (%d unique) on a %d-worker process pool"
               % (len(batch), len(set(batch)), WORKERS))
         for query, result in zip(batch, results):
             print("  %-28s -> value %6.0f  (shards=%d)"
@@ -65,7 +67,7 @@ def main() -> None:
     # ----------------------------------------------------------------- #
     colored_points, colors = trajectory_colored_points(ENTITIES, samples_per_entity=8,
                                                        extent=20.0, seed=23)
-    with QueryEngine(colored_points, colors=colors, executor="thread",
+    with QueryEngine(colored_points, colors=colors, executor="shared-process",
                      workers=WORKERS) as engine:
         exact = engine.solve(Query.colored_disk(1.5))
         approx = engine.solve(Query.colored_disk_approx(1.5, epsilon=0.3, seed=5))

@@ -122,9 +122,8 @@ from .streaming import (
     ShardedMaxRSMonitor,
     SlidingWindowMaxRSMonitor,
 )
-# The executor classes stay engine-scoped (repro.engine.ThreadPoolExecutor
-# etc.): re-exporting them here would shadow the incompatible
-# concurrent.futures classes of the same names.
+# The executor interface stays engine-scoped (repro.engine.Executor,
+# SerialExecutor, get_executor).
 from .engine import Query, QueryEngine
 # Zero-copy shared-memory process execution: the dataset is published once
 # as shared_memory-backed arrays and workers receive only shard descriptors

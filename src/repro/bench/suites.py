@@ -11,7 +11,7 @@ the driver in :mod:`repro.bench.grid`:
                    equality, with the sharded/direct disk ratio as the
                    regression gate;
 * ``streaming`` -- the exact-recompute baseline vs the dirty-shard monitors
-                   (python / batched-auto / threaded) and the multi-query
+                   (python / batched-auto / shared-process) and the multi-query
                    shared store on a localized churn stream, differentially
                    checked on the post-churn optimum;
 * ``service``   -- a mixed open-loop request trace through the serial
@@ -20,10 +20,9 @@ the driver in :mod:`repro.bench.grid`:
                    >= 3x service-direct throughput gate, plus a
                    heterogeneous every-query-family trace (differential
                    only);
-* ``parallel``  -- the same exact-rectangle batch on the serial, pickle
-                   process-pool and zero-copy shared-memory engines, gated
-                   bit-for-bit against serial and on shared-process beating
-                   serial;
+* ``parallel``  -- the same exact-rectangle batch on the serial and
+                   zero-copy shared-memory engines, gated bit-for-bit
+                   against serial and on shared-process beating serial;
 * ``serving_slo`` -- the network front end over a real socket: an
                    open-loop loadgen replay of a query-only trace at fixed
                    offered rates (p50/p95/p99 from the scheduled send), the
@@ -187,7 +186,7 @@ class EngineSuite(GridSuite):
             "width": 2.0,
             "height": 2.0,
             "radius": 1.0,
-            "rect_executors": ["direct", "serial", "thread"],
+            "rect_executors": ["direct", "serial"],
             "disk_executors": ["direct", "serial"],
         }
 
@@ -358,7 +357,7 @@ class StreamingSuite(GridSuite):
 
     name = "streaming"
     description = ("exact-recompute baseline vs dirty-shard (python/batched/"
-                   "threaded) and the multi-query shared store")
+                   "shared-process) and the multi-query shared store")
 
     RADIUS = 1.0
 
@@ -384,7 +383,7 @@ class StreamingSuite(GridSuite):
             ("recompute", None, None, baseline),
             ("dirty-shard", "python", None, sharded),
             ("dirty-shard", "auto", None, sharded),
-            ("dirty-shard", "auto", "thread", sharded),
+            ("dirty-shard", "auto", "shared-process", sharded),
             ("multi-query", "auto", None, sharded),
         ]
 
@@ -449,7 +448,7 @@ class StreamingSuite(GridSuite):
 
         checks: List[CheckResult] = []
         reference, ref_result = value_of("dirty-shard", "python")
-        for backend, executor in (("auto", None), ("auto", "thread")):
+        for backend, executor in (("auto", None), ("auto", "shared-process")):
             value, _ = value_of("dirty-shard", backend, executor)
             checks.append(CheckResult(
                 "dirty-shard/%s/%s vs python" % (backend, executor or "inline"),
@@ -892,12 +891,11 @@ class ZooSuite(ServiceSuite):
 # --------------------------------------------------------------------------- #
 
 class ParallelSuite(GridSuite):
-    """Zero-copy shared-memory execution vs the serial engine (and the
-    pickle-based process pool, checked for equal answers)."""
+    """Zero-copy shared-memory execution vs the serial engine."""
 
     name = "parallel"
-    description = ("same exact-rectangle batch on serial / process / "
-                   "shared-process engines, bit-for-bit gated")
+    description = ("same exact-rectangle batch on serial / shared-process "
+                   "engines, bit-for-bit gated")
 
     def defaults(self, quick: bool) -> Dict[str, object]:
         """Dataset size, batch rounds and the executor axis."""
@@ -905,7 +903,7 @@ class ParallelSuite(GridSuite):
             "n": 60_000 if quick else 200_000,
             "rounds": 3 if quick else 4,
             "workers": 2,
-            "executors": ["serial", "process", "shared-process"],
+            "executors": ["serial", "shared-process"],
         }
 
     def build(self, config):
@@ -958,27 +956,22 @@ class ParallelSuite(GridSuite):
         })
 
     def finish(self, results, config, context):
-        """Bit-for-bit checks vs serial + shared-process-beats-serial gates.
+        """Bit-for-bit check vs serial + shared-process-beats-serial gates.
 
-        The baseline is serial, the simplest correct engine.  The
-        pickle-based process pool runs at about parity with shared-process,
-        so a gate against it flapped around 1.0x."""
+        The baseline is serial, the simplest correct engine."""
         by_executor = {r.axes["executor"]: r for r in results}
-        serial_raw = context["raw"].get("serial", [])
-        checks: List[CheckResult] = []
-        for executor in ("process", "shared-process"):
-            mismatches = [
-                "%s: value=%r center=%r vs serial value=%r center=%r"
-                % (query.describe(), result.value, result.center,
-                   reference.value, reference.center)
-                for query, reference, result in zip(
-                    context["queries"], serial_raw,
-                    context["raw"].get(executor, []))
-                if (result.value != reference.value
-                    or result.center != reference.center)]
-            checks.append(CheckResult(
-                "%s bit-for-bit vs serial" % executor,
-                not mismatches, "; ".join(mismatches)))
+        mismatches = [
+            "%s: value=%r center=%r vs serial value=%r center=%r"
+            % (query.describe(), result.value, result.center,
+               reference.value, reference.center)
+            for query, reference, result in zip(
+                context["queries"], context["raw"].get("serial", []),
+                context["raw"].get("shared-process", []))
+            if (result.value != reference.value
+                or result.center != reference.center)]
+        checks: List[CheckResult] = [CheckResult(
+            "shared-process bit-for-bit vs serial",
+            not mismatches, "; ".join(mismatches))]
         summary: Dict[str, object] = {}
         gates: Dict[str, object] = {}
         serial = by_executor.get("serial")

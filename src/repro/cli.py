@@ -223,9 +223,10 @@ def _query_from_args(args: argparse.Namespace, has_colors: bool) -> Optional[Que
 
 
 def _solve_with_engine(args: argparse.Namespace, table) -> int:
-    # No --executor: --workers > 1 implies the thread pool, otherwise the
-    # default executor (REPRO_EXECUTOR if set, serial below that).
-    executor = args.executor or ("thread" if args.workers > 1 else None)
+    # No --executor: --workers > 1 implies the shared-memory worker pool,
+    # otherwise the default executor (REPRO_EXECUTOR if set, serial below
+    # that).
+    executor = args.executor or ("shared-process" if args.workers > 1 else None)
     try:
         query = _query_from_args(args, table.colors is not None)
         if query is None:
@@ -368,11 +369,11 @@ def _build_monitor(args: argparse.Namespace):
         epsilon = 0.25 if args.epsilon is None else args.epsilon
         return ApproximateMaxRSMonitor(dim=2, radius=args.radius, epsilon=epsilon,
                                        seed=args.seed), "inline"
-    # --workers alone means "parallelise": default to the thread executor,
+    # --workers alone means "parallelise": default to the worker pool,
     # matching `solve --workers` (otherwise workers would be silently dropped).
     executor = args.executor
     if executor is None and args.workers is not None:
-        executor = "thread"
+        executor = "shared-process"
     label = executor or "inline"
     if args.monitor == "multi":
         radii = [float(r) for r in (args.radii or "0.5,1.0").split(",") if r]
@@ -779,6 +780,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 # parser
 # --------------------------------------------------------------------------- #
 
+#: The engine executors ``--executor`` accepts on solve, monitor and serve.
+_EXECUTORS = ["serial", "shared-process"]
+
+
 def build_parser() -> argparse.ArgumentParser:
     from . import __version__
 
@@ -856,10 +861,11 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--workers", type=int, default=1,
                        help="worker count for the sharded engine's executor")
     solve.add_argument("--executor",
-                       choices=["serial", "thread", "process", "shared-process"],
+                       choices=_EXECUTORS,
                        default=None,
-                       help="sharded engine backend (default: thread when "
-                            "--workers > 1, else REPRO_EXECUTOR or serial); "
+                       help="sharded engine backend (default: shared-process "
+                            "when --workers > 1, else REPRO_EXECUTOR or "
+                            "serial); "
                             "'shared-process' publishes the dataset to OS "
                             "shared memory and sends workers only shard "
                             "index descriptors (repro.parallel)")
@@ -885,7 +891,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="kernel backend for the per-shard sweeps; 'auto' resolves "
                               "per shard like the batch engine")
     monitor.add_argument("--executor",
-                         choices=["serial", "thread", "process", "shared-process"],
+                         choices=_EXECUTORS,
                          default=None,
                          help="engine executor for dirty-shard re-solves "
                               "(default: inline; 'shared-process' keeps a "
@@ -962,7 +968,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="kernel backend for the generated trace's queries and "
                             "the monitor's per-shard sweeps")
     serve.add_argument("--executor",
-                       choices=["serial", "thread", "process", "shared-process"],
+                       choices=_EXECUTORS,
                        default=None,
                        help="engine executor for sharded routing (default: "
                             "REPRO_EXECUTOR or serial; 'shared-process' = "

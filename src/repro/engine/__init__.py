@@ -6,8 +6,9 @@ turns them into a query *engine* that scales across cores and query batches:
 * :mod:`repro.engine.sharding` -- spatial tiles with a halo matched to the
   query extent, so each shard's local optimum is globally valid and the
   global optimum is the max over shards;
-* :mod:`repro.engine.executors` -- pluggable serial / thread-pool /
-  process-pool backends behind one ``map`` interface;
+* :mod:`repro.engine.executors` -- the serial backend and the
+  ``"shared-process"`` worker pool (:mod:`repro.parallel`) behind one
+  ``map`` interface;
 * :mod:`repro.engine.planner` -- :class:`QueryEngine`, which routes
   heterogeneous :class:`Query` batches to the right solvers and
   deduplicates identical queries within a batch (result caching is the
@@ -24,13 +25,7 @@ Quickstart
 [2.0, 2.0, 2.0]
 """
 
-from .executors import (
-    Executor,
-    ProcessPoolExecutor,
-    SerialExecutor,
-    ThreadPoolExecutor,
-    get_executor,
-)
+from .executors import Executor, SerialExecutor, get_executor
 from .merge import merge_shard_results
 from .planner import (
     BatchPlan,
@@ -51,8 +46,6 @@ __all__ = [
     "resolve_task_backend",
     "Executor",
     "SerialExecutor",
-    "ThreadPoolExecutor",
-    "ProcessPoolExecutor",
     "get_executor",
     "ShardPlan",
     "plan_shards",

@@ -2,26 +2,18 @@
 
 Every backend exposes the same two-method interface -- order-preserving
 :meth:`~Executor.map` plus :meth:`~Executor.close` -- so the planner can stay
-agnostic about *where* shard tasks run:
+agnostic about *where* shard tasks run.  There are two:
 
 * :class:`SerialExecutor` runs tasks inline; the zero-overhead default and
-  the reference the parallel backends are tested against.
-* :class:`ThreadPoolExecutor` fans tasks out over a thread pool.  The
-  solvers are pure Python, so threads mostly overlap the numpy portions of
-  the approximate solvers; it is the safe choice when tasks are small.
-* :class:`ProcessPoolExecutor` fans tasks out over worker processes and is
-  the backend that actually buys multi-core speedups for the CPU-bound exact
-  sweeps; tasks and their payloads must be picklable (the planner's task
-  payloads are).
+  the reference the parallel backend is tested against.
 * ``"shared-process"`` resolves to
-  :class:`repro.parallel.SharedMemoryProcessExecutor`: worker processes that
-  attach to a shared-memory dataset store on spawn and receive only shard
-  descriptors (index ranges), removing the per-task point-payload pickling
-  the plain process backend pays (see :mod:`repro.parallel`).
+  :class:`repro.parallel.SharedMemoryProcessExecutor`: a persistent,
+  crash-recovering worker-process pool.  When an engine binds its
+  shared-memory dataset store, workers attach to it on spawn and receive
+  only shard descriptors (index ranges); without a store the pool pickles
+  each task's payload (see :mod:`repro.parallel`).
 
-Pools are created lazily on first use and are reusable across batches, so a
-long-lived :class:`~repro.engine.planner.QueryEngine` pays the pool start-up
-cost once.  All executors are context managers.
+All executors are context managers.
 
 When no executor is named (``spec=None``), the ``REPRO_EXECUTOR``
 environment variable picks the default -- that is how CI forces the whole
@@ -32,14 +24,11 @@ beats the environment.
 from __future__ import annotations
 
 import os
-from concurrent import futures
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar, Union
+from typing import Callable, List, Optional, Sequence, TypeVar, Union
 
 __all__ = [
     "Executor",
     "SerialExecutor",
-    "ThreadPoolExecutor",
-    "ProcessPoolExecutor",
     "get_executor",
 ]
 
@@ -90,60 +79,6 @@ class SerialExecutor(Executor):
         return [fn(item) for item in items]
 
 
-class _PooledExecutor(Executor):
-    """Shared lazy-pool plumbing for the thread and process backends."""
-
-    _pool_factory = None  # set by subclasses
-
-    def __init__(self, workers: Optional[int] = None):
-        super().__init__(workers)
-        self._pool = None
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            self._pool = type(self)._pool_factory(max_workers=self.workers)
-        return self._pool
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        items = list(items)
-        if not items:
-            return []
-        if len(items) == 1:
-            # Not worth a pool round-trip (and, for processes, a pickle).
-            return [fn(items[0])]
-        return self._map_pooled(fn, items)
-
-    def _map_pooled(self, fn: Callable[[T], R], items: List[T]) -> List[R]:
-        """Dispatch an above-threshold batch to the pool (the one copy of
-        the chunking policy; subclasses wrap this for crash recovery)."""
-        pool = self._ensure_pool()
-        chunksize = max(1, len(items) // (4 * self.workers))
-        return list(pool.map(fn, items, chunksize=chunksize))
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-class ThreadPoolExecutor(_PooledExecutor):
-    """Run tasks on a shared :class:`concurrent.futures.ThreadPoolExecutor`."""
-
-    kind = "thread"
-    _pool_factory = futures.ThreadPoolExecutor
-
-
-class ProcessPoolExecutor(_PooledExecutor):
-    """Run tasks on a shared :class:`concurrent.futures.ProcessPoolExecutor`.
-
-    The task callable and its payloads must be picklable; the planner's
-    module-level shard task satisfies this.
-    """
-
-    kind = "process"
-    _pool_factory = futures.ProcessPoolExecutor
-
-
 def _shared_process_factory(workers: Optional[int] = None) -> Executor:
     # Imported lazily: repro.parallel builds on this module.
     from ..parallel.executor import SharedMemoryProcessExecutor
@@ -153,8 +88,6 @@ def _shared_process_factory(workers: Optional[int] = None) -> Executor:
 
 _EXECUTORS = {
     "serial": SerialExecutor,
-    "thread": ThreadPoolExecutor,
-    "process": ProcessPoolExecutor,
     "shared-process": _shared_process_factory,
 }
 
@@ -163,10 +96,10 @@ def get_executor(
     spec: Union[str, Executor, None] = None,
     workers: Optional[int] = None,
 ) -> Executor:
-    """Resolve an executor from a name (``"serial"``, ``"thread"``,
-    ``"process"``, ``"shared-process"``), an existing :class:`Executor`
-    (returned as-is), or ``None`` -- the default, which honours the
-    ``REPRO_EXECUTOR`` environment variable and otherwise stays serial."""
+    """Resolve an executor from a name (``"serial"`` or ``"shared-process"``),
+    an existing :class:`Executor` (returned as-is), or ``None`` -- the
+    default, which honours the ``REPRO_EXECUTOR`` environment variable and
+    otherwise stays serial."""
     if spec is None:
         spec = os.environ.get("REPRO_EXECUTOR", "").strip().lower() or "serial"
     if isinstance(spec, Executor):

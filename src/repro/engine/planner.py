@@ -432,7 +432,7 @@ def solve_query(
     This is the single dispatch point shared by the sharded path (one call
     per shard, possibly in a worker process) and the direct path (one call on
     the whole dataset).  Module-level so it is picklable for
-    :class:`~repro.engine.executors.ProcessPoolExecutor`.
+    :class:`~repro.parallel.SharedMemoryProcessExecutor` workers.
 
     Under an active trace each call emits one ``kernel.solve`` span tagged
     with the query's shape/backend/mode and the input population -- the
@@ -579,8 +579,8 @@ def _solve_shard_task(task) -> MaxRSResult:
     every executor runs.
 
     ``task`` is ``(query, source)`` or, traced, ``(query, source, tags)``.
-    The source is a :class:`~repro.engine.sharding.ShardArrays` (serial,
-    thread and process executors: the shard's slice of the engine's arrays)
+    The source is a :class:`~repro.engine.sharding.ShardArrays` (the serial
+    executor: the shard's slice of the engine's arrays)
     or a :class:`repro.parallel.ShardDescriptor` (shared-process: an index
     range into the published store, so no point data is pickled).  Both
     resolve through the same ``resolve(arrays=...)`` call: array slices for
@@ -683,16 +683,19 @@ class QueryEngine:
         kept only when supplied explicitly or carried by ``ColoredPoint``
         inputs; colored queries require them.
     executor:
-        ``"serial"``, ``"thread"``, ``"process"``, ``"shared-process"``, or
-        an :class:`~repro.engine.executors.Executor` instance.  ``None``
+        ``"serial"``, ``"shared-process"``, or an
+        :class:`~repro.engine.executors.Executor` instance.  ``None``
         (the default) honours the ``REPRO_EXECUTOR`` environment variable
-        and otherwise stays serial.  ``"shared-process"`` publishes the
+        and otherwise stays serial.  ``"shared-process"`` (or a
+        :class:`repro.parallel.SharedMemoryProcessExecutor` instance with no
+        store bound, which the engine then binds) publishes the
         dataset once to a :class:`repro.parallel.SharedDatasetStore` the
         engine owns (released on :meth:`close`) and submits shard
         *descriptors* -- index ranges into the store -- instead of the
         shards' point arrays.
     workers:
-        Worker count for the pooled executors; defaults to the CPU count.
+        Worker count for the ``"shared-process"`` pool; defaults to the CPU
+        count.
     target_shards:
         Optional override for the number of spatial shards per query.  By
         default the planner picks the granularity from the query's

@@ -92,8 +92,8 @@ class ShardPlan:
 
 @dataclass(frozen=True, eq=False)
 class ShardArrays:
-    """One shard's points as arrays: what serial, thread and process tasks
-    carry.  Shared-process tasks carry a
+    """One shard's points as arrays: what serial tasks carry.
+    Shared-process tasks carry a
     :class:`repro.parallel.ShardDescriptor` instead, which resolves through
     this class, so both payloads materialise identically."""
 

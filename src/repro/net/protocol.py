@@ -28,12 +28,16 @@ admission queue), 404/405 (bad route).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..core.result import MaxRSResult
-from ..datasets.requests import RequestEvent, request_from_dict, request_to_dict
-from ..engine.planner import Query
+from ..datasets.requests import (
+    RequestEvent,
+    _query_to_dict,
+    request_from_dict,
+    request_to_dict,
+)
 from ..service.requests import ServiceResponse
 
 __all__ = [
@@ -113,12 +117,6 @@ def result_from_dict(record: dict) -> MaxRSResult:
         exact=bool(record.get("exact", True)),
         meta=dict(record.get("meta") or {}),
     )
-
-
-def _query_to_dict(query: Query) -> dict:
-    # Same shape as the trace serialisation: drop unset fields so the dict
-    # round-trips through Query(**fields).
-    return {k: v for k, v in asdict(query).items() if v is not None}
 
 
 def response_to_dict(response: ServiceResponse) -> dict:

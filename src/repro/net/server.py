@@ -46,7 +46,7 @@ import asyncio
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..obs import tracing as obs
 from ..obs.metrics import MetricsRegistry
@@ -111,6 +111,13 @@ class MaxRSServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_event: Optional[asyncio.Event] = None
         self._closing = False
+        # Set once shutdown has answered every admitted request; from then
+        # on a connection closes instead of reading another request.
+        self._drained = False
+        # Writers of the connections reading a request: waiting for one
+        # between requests, or receiving one.  None holds an admitted
+        # request.
+        self._reading: Set[asyncio.StreamWriter] = set()
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()
         self._startup_error: Optional[BaseException] = None
@@ -161,7 +168,9 @@ class MaxRSServer:
 
         Idempotent; safe from any thread.  Requests already admitted are
         served before the dispatcher exits; requests arriving meanwhile are
-        shed.
+        shed.  Every connection is then closed -- one awaiting an admitted
+        request's answer once it has it -- so no client can hold shutdown
+        open.
         """
         loop, stop_event = self._loop, self._stop_event
         if loop is not None and stop_event is not None and loop.is_running():
@@ -183,11 +192,17 @@ class MaxRSServer:
             await self._stop_event.wait()
         finally:
             # Stop accepting, shed new requests on live connections, serve
-            # what was already admitted, then retire the dispatcher.
+            # what was already admitted, then close the connections still
+            # reading a request (a request read from now on would only be
+            # shed; one awaiting its answer gets it first, then closes), so
+            # no client can hold shutdown open.  Then retire the dispatcher.
             self._closing = True
             server.close()
-            await server.wait_closed()
             await self._admission.join()
+            self._drained = True
+            for writer in list(self._reading):
+                writer.close()
+            await server.wait_closed()
             dispatcher.cancel()
             try:
                 await dispatcher
@@ -256,8 +271,12 @@ class MaxRSServer:
         with obs.trace("net.accept", peer=str(peer)):
             pass
         try:
-            while True:
-                parsed = await self._read_request(reader)
+            while not self._drained:
+                self._reading.add(writer)
+                try:
+                    parsed = await self._read_request(reader)
+                finally:
+                    self._reading.discard(writer)
                 if parsed is None:
                     break
                 method, path, headers, body = parsed

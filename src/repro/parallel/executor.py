@@ -1,11 +1,9 @@
 """The shared-memory process executor: persistent workers, descriptor tasks,
 crash recovery.
 
-:class:`SharedMemoryProcessExecutor` plugs into the same two-method
-``map`` / ``close`` interface as the executors in
-:mod:`repro.engine.executors`, so every engine, monitor and service that
-takes ``executor=`` can run on it.  It differs from the plain
-``ProcessPoolExecutor`` backend in three ways:
+:class:`SharedMemoryProcessExecutor` is the one parallel backend behind the
+``map`` / ``close`` interface of :mod:`repro.engine.executors`, so every
+engine, monitor and service that takes ``executor=`` can run on it:
 
 * **zero-copy tasks** -- when a :class:`~repro.parallel.store.SharedDatasetStore`
   is bound (:meth:`bind_store`; the engine does this automatically for
@@ -14,8 +12,9 @@ takes ``executor=`` can run on it.  It differs from the plain
   :class:`~repro.parallel.store.ShardDescriptor` index ranges -- the
   per-task pickle is a few hundred bytes regardless of dataset size;
 * **persistent workers** -- the pool is created lazily and reused across
-  batches (like the other pooled executors), so attachments and the
-  workers' materialisation caches survive from one query batch to the next;
+  batches, so attachments and the workers' materialisation caches survive
+  from one query batch to the next; batches of zero or one task run inline
+  and never start a pool;
 * **crash recovery** -- a worker dying mid-batch (OOM-killed, segfaulted,
   ``SIGKILL``-ed by an operator) breaks a ``concurrent.futures`` process
   pool permanently.  ``map`` detects the broken pool, rebuilds it once and
@@ -24,8 +23,8 @@ takes ``executor=`` can run on it.  It differs from the plain
   results.  Ordinary task exceptions (poison inputs) propagate unchanged --
   they are the caller's bug, not a pool failure.
 
-Without a bound store the executor still works as a persistent pickle-based
-process pool (that is how the streaming monitors use it), so
+Without a bound store the executor is a persistent pickle-based process
+pool (that is how the streaming monitors use it), so
 ``executor="shared-process"`` is accepted everywhere an executor name is.
 """
 
@@ -33,9 +32,9 @@ from __future__ import annotations
 
 from concurrent import futures
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, List, Optional, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
-from ..engine.executors import _PooledExecutor
+from ..engine.executors import Executor
 from ..obs import tracing as obs
 from .store import DatasetHandle, SharedDatasetStore, attach_dataset
 
@@ -62,14 +61,15 @@ def _worker_init(handle: Optional[DatasetHandle]) -> None:
         attach_dataset(handle)
 
 
-class SharedMemoryProcessExecutor(_PooledExecutor):
+class SharedMemoryProcessExecutor(Executor):
     """Run tasks on a persistent process pool whose workers attach to a
     shared-memory dataset store on spawn.
 
-    The lazy-pool plumbing, single-task inline bypass and chunking policy
-    are inherited from the shared ``_PooledExecutor`` base (so the three
-    pooled backends cannot drift apart); this class adds the pool
-    initializer and the crash recovery around the pooled dispatch.
+    The pool starts lazily on the first batch of two or more tasks and is
+    reused until :meth:`close`; a batch of one task runs inline (descriptor
+    resolution works in the parent process too).  Pooled batches go out in
+    chunks of ``len(items) // (4 * workers)`` tasks (at least 1), and a
+    batch that loses a worker is retried once on a rebuilt pool.
 
     Parameters
     ----------
@@ -90,6 +90,7 @@ class SharedMemoryProcessExecutor(_PooledExecutor):
     def __init__(self, workers: Optional[int] = None,
                  store: Optional[SharedDatasetStore] = None):
         super().__init__(workers)
+        self._pool: Optional[futures.ProcessPoolExecutor] = None
         self._store = store
         self.restarts = 0  #: pools rebuilt after a worker crash
 
@@ -118,16 +119,19 @@ class SharedMemoryProcessExecutor(_PooledExecutor):
             )
         return self._pool
 
-    def _map_pooled(self, fn: Callable[[T], R], items: List[T]) -> List[R]:
-        """The pooled dispatch, with one rebuild-and-retry on a crashed
-        pool (the inline bypass for single tasks is inherited: descriptor
-        resolution works in the parent process too)."""
+    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
+        items = list(items)
+        if len(items) <= 1:
+            # Not worth a pool round-trip and a pickle.
+            return [fn(item) for item in items]
+        chunksize = max(1, len(items) // (4 * self.workers))
         last_crash: Optional[BaseException] = None
         for attempt in range(2):
             try:
                 with obs.span("pool.map", kind=self.kind, tasks=len(items),
                               workers=self.workers, attempt=attempt):
-                    return super()._map_pooled(fn, items)
+                    pool = self._ensure_pool()
+                    return list(pool.map(fn, items, chunksize=chunksize))
             except BrokenProcessPool as crash:
                 # A worker died (kill -9, OOM, segfault): the pool is
                 # permanently broken.  Drop it and retry the batch once on a
@@ -143,3 +147,8 @@ class SharedMemoryProcessExecutor(_PooledExecutor):
             "a task is killing its worker deterministically"
             % (len(items), self.workers)
         ) from last_crash
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None

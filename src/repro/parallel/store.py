@@ -1,8 +1,8 @@
 """Zero-copy shared-memory dataset publication for process execution.
 
-The pickle-based process backend pays for every task twice: the parent
-serialises each shard's full point payload, and the worker deserialises it
-before a single solver instruction runs.  The grid-partitioned parallel MaxRS
+A process pool that pickles its tasks pays for every task twice: the
+parent serialises each shard's full point payload, and the worker
+deserialises it before a single solver instruction runs.  The grid-partitioned parallel MaxRS
 designs in the literature avoid exactly this by letting every partition read
 one shared, immutable point table.  :class:`SharedDatasetStore` reproduces
 that here with OS shared memory:

@@ -27,8 +27,8 @@ Beyond the original event-at-a-time interface the monitor is a full
   selects the sweep implementation, with ``"auto"`` resolved per sweep call
   against the total points of the tiles it solves, on the disk sweep's
   threshold (:func:`repro.engine.planner.resolve_task_backend`);
-* **pluggable executors** -- ``executor="thread" | "process" | ...`` splits
-  the dirty tiles of one query into one group per worker and solves each
+* **pluggable executors** -- ``executor="shared-process"`` splits the
+  dirty tiles of one query into one group per worker and solves each
   group in one segmented call on an engine executor;
 * **sliding windows** -- ``window=N`` keeps only the most recent ``N``
   observations alive (count-based), ``time_window=T`` keeps only
@@ -97,8 +97,8 @@ class ShardedMaxRSMonitor(StreamMonitor):
         ``"auto"`` resolves per sweep call against the total points of the
         shards it solves.
     executor, workers:
-        Optional engine executor (``"serial"`` / ``"thread"`` / ``"process"``
-        or an :class:`~repro.engine.executors.Executor`) for solving the
+        Optional engine executor (``"serial"`` / ``"shared-process"`` or an
+        :class:`~repro.engine.executors.Executor`) for solving the
         dirty shards of one query in parallel, one group of shards per
         worker.  ``None`` (default) solves them all in one inline call.
     window:

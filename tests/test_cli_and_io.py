@@ -268,7 +268,8 @@ class TestCliShardedEngine:
                      "--engine", "sharded", "--workers", "2"]) == 0
         sharded_out = capsys.readouterr().out
         assert self._value_line(sharded_out) == direct
-        assert "engine:    sharded (thread, workers=2" in sharded_out
+        # --workers > 1 without --executor picks the worker-process pool
+        assert "engine:    sharded (shared-process, workers=2" in sharded_out
 
     def test_sharded_rectangle_serial_executor(self, tmp_path, capsys):
         csv_path = str(tmp_path / "workload.csv")

@@ -26,11 +26,9 @@ from repro.datasets import (
     weighted_hotspot_points,
 )
 from repro.engine import (
-    ProcessPoolExecutor,
     Query,
     QueryEngine,
     SerialExecutor,
-    ThreadPoolExecutor,
     dataset_fingerprint,
     get_executor,
     merge_shard_results,
@@ -45,6 +43,7 @@ from repro.exact import (
     maxrs_interval_exact,
     maxrs_rectangle_exact,
 )
+from repro.parallel import SharedDatasetStore, SharedMemoryProcessExecutor
 from repro.service import MISSING, MaxRSService, ServiceRequest, TTLCache
 from repro.streaming import ExactRecomputeMonitor, ShardedMaxRSMonitor
 
@@ -484,13 +483,13 @@ class TestValidation:
 
 class TestExecutors:
     def test_get_executor_resolution(self, monkeypatch):
-        from repro.parallel import SharedMemoryProcessExecutor
-
         assert isinstance(get_executor("serial"), SerialExecutor)
-        assert isinstance(get_executor("thread", workers=2), ThreadPoolExecutor)
-        assert isinstance(get_executor("process", workers=2), ProcessPoolExecutor)
         assert isinstance(get_executor("shared-process", workers=2),
                           SharedMemoryProcessExecutor)
+        # Exactly two names resolve; the retired pool names are unknown.
+        for retired in ("thread", "process"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                get_executor(retired, workers=2)
         serial = SerialExecutor()
         assert get_executor(serial) is serial
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
@@ -502,22 +501,45 @@ class TestExecutors:
         with pytest.raises(ValueError, match="unknown executor"):
             get_executor("gpu")
         with pytest.raises(ValueError):
-            ThreadPoolExecutor(workers=0)
+            SharedMemoryProcessExecutor(workers=0)
 
     def test_map_preserves_order(self):
         items = list(range(23))
-        for executor in (SerialExecutor(), ThreadPoolExecutor(workers=3)):
+        for executor in (SerialExecutor(), SharedMemoryProcessExecutor(workers=2)):
             with executor:
                 assert executor.map(_square, items) == [i * i for i in items]
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process",
-                                         "shared-process"])
+    # ``thread`` and ``process`` keep their ids; they now hand the engine a
+    # caller-made pool instead of a name: unbound (the engine binds its own
+    # store) and bound to a store the engine does not own (the engine keeps
+    # that binding; its descriptors attach lazily to its own store).
+    @pytest.mark.parametrize("backend", [
+        "serial",
+        pytest.param("unbound-pool", id="thread"),
+        pytest.param("foreign-store-pool", id="process"),
+        "shared-process",
+    ])
     def test_executor_equivalence_on_exact_solves(self, backend):
         points, weights = weighted_hotspot_points(220, dim=2, extent=10.0, seed=71)
         reference = maxrs_disk_exact(points, radius=1.0, weights=weights).value
-        with QueryEngine(points, weights=weights, executor=backend, workers=2) as engine:
-            result = engine.solve(Query.disk(1.0))
-            assert result.meta["executor"] == backend
+        foreign = (SharedDatasetStore(points[:10])
+                   if backend == "foreign-store-pool" else None)
+        executor = backend
+        if backend.endswith("-pool"):
+            executor = SharedMemoryProcessExecutor(workers=2, store=foreign)
+        try:
+            with QueryEngine(points, weights=weights, executor=executor,
+                             workers=2) as engine:
+                result = engine.solve(Query.disk(1.0))
+                if backend.endswith("-pool"):
+                    assert engine._executor is executor
+                    assert executor.store is (
+                        engine.store if foreign is None else foreign)
+        finally:
+            if foreign is not None:
+                foreign.release()
+        assert result.meta["executor"] == ("serial" if backend == "serial"
+                                           else "shared-process")
         assert abs(result.value - reference) < 1e-9
 
 

@@ -12,9 +12,9 @@ A metamorphic test transforms the *input* in a way whose effect on the
 * scaling all weights by ``c`` must scale the optimum by ``c``.
 
 The executor-determinism tests pin down the seeded-randomness contract of
-the sharded engine: with a fixed dataset and seeded queries, ``serial``,
-``thread`` and ``process`` executors run the exact same per-shard
-computations and must return identical values.
+the sharded engine: with a fixed dataset and seeded queries, the ``serial``
+and ``shared-process`` executors run the exact same per-shard computations
+(the latter in worker processes) and must return identical values.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ class TestExecutorDeterminism:
         must produce identical values for seeded queries."""
         values = {}
         for label, executor in (("serial", "serial"), ("serial-again", "serial"),
-                                ("thread", "thread"), ("process", "process")):
+                                ("shared-process", "shared-process")):
             with QueryEngine(cloud, executor=executor, workers=2) as engine:
                 values[label] = [engine.solve(q).value for q in self.QUERIES]
         reference = values["serial"]

@@ -9,8 +9,10 @@ latency accounting, the bit-identical differential against an in-process
 """
 
 import http.client
-import time
 import json
+import logging
+import socket
+import time
 
 import pytest
 
@@ -218,6 +220,38 @@ class TestServer:
         with pytest.raises(RuntimeError):
             live_server.start_in_thread()
 
+    @pytest.mark.parametrize("client_state", ["idle", "mid-body"])
+    def test_stop_closes_a_kept_alive_connection(self, client_state, caplog):
+        """A client idle between requests, or stalled mid-request, must not
+        hold shutdown open, and closing its connection must not log an
+        asyncio error."""
+        service = MaxRSService(POINTS)
+        server = MaxRSServer(service, max_pending=8)
+        server.start_in_thread()
+        client = socket.create_connection((server.host, server.port),
+                                          timeout=30)
+        try:
+            if client_state == "idle":
+                client.sendall(b"GET /v1/healthz HTTP/1.1\r\n\r\n")
+                assert client.recv(65536).startswith(b"HTTP/1.1 200")
+            else:
+                client.sendall(b"POST /v1/request HTTP/1.1\r\n"
+                               b"Content-Length: 10\r\n\r\n")
+                time.sleep(0.2)  # let the server start waiting for the body
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                started = time.monotonic()
+                server.stop()
+                elapsed = time.monotonic() - started
+            assert elapsed < 5.0
+            assert not server._thread.is_alive()
+            assert not [record for record in caplog.records
+                        if record.name == "asyncio"
+                        and record.levelno >= logging.ERROR]
+        finally:
+            client.close()
+            server.stop()
+            service.close()
+
     def test_stop_is_idempotent_and_connections_then_fail(self):
         service = MaxRSService(POINTS)
         server = MaxRSServer(service, max_pending=8)
@@ -240,9 +274,12 @@ class TestServer:
 # --------------------------------------------------------------------------- #
 
 def _steady_trace(n=60, rate=200.0, seed=7):
+    # No flash crowd: request_trace's default hotspot would land all 60
+    # requests in ~30 ms, a burst that can fill the live server's queue.
     catalog = default_query_catalog(backend="numpy", heavy=False)
     return list(request_trace(n, catalog=catalog, monitor_fraction=0.0,
-                              update_every=0, rate=rate, seed=seed))
+                              update_every=0, rate=rate, seed=seed,
+                              hotspot_every=0))
 
 
 class TestLoadgen:

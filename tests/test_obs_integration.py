@@ -8,7 +8,7 @@ The contract under test, layer by layer:
   point count, captured inside worker processes) sum, together with the
   plan / queue / merge spans, to within 10% of the request's wall time;
 * every shard task appears exactly once per request on each executor
-  (serial / thread / process / shared-process);
+  (serial / shared-process), on a caller-made pool and on a warm one;
 * tracing disabled leaves answers bit-for-bit identical and adds
   negligible overhead (the no-op span path is budgeted against a real
   solve);
@@ -24,6 +24,7 @@ import repro.obs as obs
 from repro.cli import main as cli_main
 from repro.datasets import clustered_points
 from repro.engine import Query, QueryEngine
+from repro.parallel import SharedMemoryProcessExecutor
 from repro.service import MaxRSService, ServiceRequest
 from repro.streaming import ShardedMaxRSMonitor
 from repro.datasets.streams import UpdateEvent
@@ -138,16 +139,32 @@ class TestTraceAccounting:
 # every shard task appears exactly once per request, on every executor
 # --------------------------------------------------------------------------- #
 
-EXECUTORS = ["serial", "thread", "process", "shared-process"]
+EXECUTORS = ["serial", "shared-process"]
 
 
 class TestShardSpanCompleteness:
-    @pytest.mark.parametrize("executor", EXECUTORS)
+    # ``thread`` and ``process`` keep their ids: ``thread`` hands the engine
+    # a caller-made pool, ``process`` traces a batch on a pool an untraced
+    # batch already started.
+    @pytest.mark.parametrize("executor", EXECUTORS + [
+        pytest.param("caller-made", id="thread"),
+        pytest.param("warm-pool", id="process"),
+    ])
     def test_every_shard_task_spans_exactly_once(self, executor, collect):
         obs.set_enabled(True)
         points = _points(400)
-        with QueryEngine(points, executor=executor, workers=2,
+        spec = executor
+        if executor == "caller-made":
+            spec = SharedMemoryProcessExecutor(workers=2)
+        elif executor == "warm-pool":
+            spec = "shared-process"
+        with QueryEngine(points, executor=spec, workers=2,
                          target_shards=4) as engine:
+            if executor == "warm-pool":
+                obs.set_enabled(False)
+                engine.solve(Query.rectangle(1.0, 1.0))
+                obs.set_enabled(True)
+                assert engine._executor._pool is not None
             engine.solve(Query.disk(1.0))
         assert len(collect.traces) == 1
         by_name = _span_index(collect.traces[0])
@@ -305,7 +322,8 @@ class TestServiceTracing:
 class TestMonitorTracing:
     def test_monitor_query_grafts_worker_shard_spans(self, collect):
         obs.set_enabled(True)
-        monitor = ShardedMaxRSMonitor(radius=1.0, executor="thread", workers=2)
+        monitor = ShardedMaxRSMonitor(radius=1.0, executor="shared-process",
+                                      workers=2)
         try:
             events = [_insert(i % 9, i // 9) for i in range(60)]
             monitor.apply_batch(events, start_index=0)

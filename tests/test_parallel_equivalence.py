@@ -3,9 +3,9 @@
 The load-bearing claim of `repro.parallel` is *bit-for-bit equality*: the
 descriptor task path must reconstruct every shard's point lists exactly
 (float64 round-trips are exact, palettes restore the original color
-objects), so for any dataset and any query the serial, thread, process and
-shared-process executors must return identical results -- value AND
-placement, not just value within tolerance.
+objects), so for any dataset and any query the serial and shared-process
+executors must return identical results -- value AND placement, not just
+value within tolerance.
 
 The suite crosses randomized datasets (uniform / clustered / hotspot) with
 the solver families (exact interval / rectangle / disk, the approximate
@@ -24,7 +24,7 @@ from repro.datasets import (
 )
 from repro.engine import Query, QueryEngine
 
-EXECUTORS = ["serial", "thread", "process", "shared-process"]
+EXECUTORS = ["serial", "shared-process"]
 KINDS = ["uniform", "clustered", "hotspot"]
 FAST_SEEDS = [401, 402]
 SLOW_SEEDS = [403, 404, 405, 406, 407, 408]

@@ -12,7 +12,7 @@ reproduction instead of a 400-event haystack.
 
 The fast, fixed-seed leg runs in every CI matrix cell (and under the
 ``REPRO_BACKEND`` override).  The wide randomized sweep -- more seeds,
-longer streams, the process-pool executor, windowed monitors -- is marked
+longer streams, the worker-process executor, windowed monitors -- is marked
 ``slow`` and runs on the scheduled workflow leg.
 """
 
@@ -135,8 +135,11 @@ def test_fuzz_fast(scenario, kind, backend, seed):
 
 
 def test_fuzz_fast_threaded_executor_smoke():
-    _run_case("clustered", FAST_SEEDS[0], 120, "sharded", "auto", executor="thread")
-    _run_case("burst", FAST_SEEDS[0], 120, "multi", "auto", executor="thread")
+    # The name predates the worker-process pool it now runs on.
+    _run_case("clustered", FAST_SEEDS[0], 120, "sharded", "auto",
+              executor="shared-process")
+    _run_case("burst", FAST_SEEDS[0], 120, "multi", "auto",
+              executor="shared-process")
 
 
 # --------------------------------------------------------------------------- #
@@ -153,7 +156,7 @@ def test_fuzz_long(scenario, kind, backend, seed):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("executor", ["thread", "process"])
+@pytest.mark.parametrize("executor", ["shared-process"])
 @pytest.mark.parametrize("seed", SLOW_SEEDS[:3])
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_fuzz_long_executors(scenario, seed, executor):

@@ -39,7 +39,7 @@ from repro.regions.topk import top_k_maxrs_disk, top_k_maxrs_rectangle
 from repro.service import MaxRSService, ServiceRequest
 from repro.streaming import ShardedMaxRSMonitor
 
-EXECUTORS = ["serial", "thread", "process", "shared-process"]
+EXECUTORS = ["serial", "shared-process"]
 
 
 def planar_workload(n=160, seed=421):
@@ -237,7 +237,7 @@ class TestTopKEngine:
         points = planar_workload(seed=424)
         query = Query.topk_disk(0.8, 2)
         direct = top_k_maxrs_disk(points, 0.8, 2)
-        for executor in ("serial", "thread"):
+        for executor in ("serial", "shared-process"):
             result = solve_with(executor, points, query)
             assert [(rank, value) for rank, value, _, _ in
                     result.meta["placements"]] == \
