@@ -364,11 +364,13 @@ class Query:
     @property
     def sweep_kernel(self) -> Optional[str]:
         """The kernel whose ``auto`` threshold governs this query's backend
-        (:data:`repro.kernels.KERNEL_AUTO_THRESHOLDS`): ``"disk_sweep"`` for
-        the exact weighted disk families, whose solvers bottom out in the
-        angular disk sweep; ``None`` (the default threshold) otherwise."""
-        if self.shape == "disk" and self.exact and not self.colored:
-            return "disk_sweep"
+        (:data:`repro.kernels.KERNEL_AUTO_THRESHOLDS`): ``"disk_sweep"``,
+        ``"rectangle_sweep"`` or ``"interval_sweep"`` for the exact weighted
+        families of that shape, whose solvers bottom out in that sweep;
+        ``None`` (the default threshold) otherwise."""
+        if self.exact and not self.colored and self.shape in (
+                "disk", "rectangle", "interval"):
+            return self.shape + "_sweep"
         return None
 
     @property

@@ -48,9 +48,14 @@ CI forces the whole tier-1 suite through the NumPy kernels), otherwise NumPy
 is chosen once the input size reaches :data:`AUTO_THRESHOLD` points and the
 pure-Python loops below it (small inputs are interpreter-bound either way and
 the reference loops avoid NumPy's per-call overhead).  A kernel may override
-the threshold in :data:`KERNEL_AUTO_THRESHOLDS`: the exact disk sweep's is a
-measured crossover of 20 points, taken against the *total* points of a
-call, so a segmented sweep over many small shards
+the threshold in :data:`KERNEL_AUTO_THRESHOLDS`, and the three exact sweeps
+do, with measured crossovers: 20 points for the disk sweep, 32 for the
+rectangle sweep and 32 for the interval sweep.  A query names the sweep
+whose threshold applies (:attr:`repro.engine.Query.sweep_kernel`), so every
+resolution of ``"auto"`` for it uses that threshold: solver calls, the
+engine's shard tasks, the monitors' tiles and the service's static misses.
+The disk sweep's is taken against the *total* points of a call, so a
+segmented sweep over many small shards
 (:func:`repro.exact.maxrs_disk_exact_segments`) counts all of them.  The
 sharded engine resolves ``"auto"`` *per shard*, so fine shards stay on
 Python while big shards vectorise
@@ -102,11 +107,22 @@ AUTO_THRESHOLD = 512
 #: 30 runs, two rounds on a 2-vCPU x86-64 VM: 14 points 0.13 ms Python vs
 #: 0.17 ms NumPy, 18 points 0.27-0.30 vs 0.25-0.32, 20 points 0.32-0.33 vs
 #: 0.26-0.31); its segmented form resolves against the same threshold on
-#: the total points of a call.
+#: the total points of a call.  The rectangle and interval sweeps cross over
+#: at about 32 points: solver calls on a uniform weighted cloud at the
+#: ``kernels`` suite's density (2 x 2 rectangles, length-2 intervals),
+#: median of 40 calls, two rounds on a 2-vCPU x86-64 VM.  On ndarrays (the
+#: engine's shard slices) the rectangle sweep took 0.49-0.53 ms on Python
+#: vs 0.55-0.61 ms on NumPy at 24 points and 0.65-0.69 vs 0.58-0.66 at 32;
+#: on tuple lists 0.57-0.64 vs 0.68-0.75 at 32 and 0.93-0.95 vs 0.79-0.81
+#: at 48.  The interval sweep on ndarrays took 0.08 ms on Python vs 0.07 on
+#: NumPy at 12 points, and 0.19 vs 0.08 at 32; on tuple lists 0.13 vs
+#: 0.14-0.15 at 32 and 0.19-0.23 vs 0.18-0.20 at 48.
 KERNEL_AUTO_THRESHOLDS: Dict[str, int] = {
     "probe_depths": 0,
     "colored_depth_batch": 0,
     "disk_sweep": 20,
+    "rectangle_sweep": 32,
+    "interval_sweep": 32,
 }
 
 #: The functions a backend module may implement (the kernel contract).
@@ -173,20 +189,22 @@ def resolve_backend(backend: str, n: int, kernel: Optional[str] = None) -> str:
     return backend
 
 
-def resolve_batch_backend(backend: str, n: int, batch_size: int = 1) -> str:
+def resolve_batch_backend(backend: str, n: int, batch_size: int = 1,
+                          kernel: Optional[str] = None) -> str:
     """Resolve a backend for a *micro-batch* of ``batch_size`` sweeps over
     one ``n``-point dataset (the serving layer's per-batch resolution).
 
     A batch amortises NumPy's per-call setup over every sweep it contains,
     so ``"auto"`` switches to the vectorised kernels once the batch's total
-    work ``n * batch_size`` crosses :data:`AUTO_THRESHOLD`, rather than
-    requiring each individual call to cross it.  Explicit backend names are
-    validated and returned unchanged, exactly like :func:`resolve_backend`.
+    work ``n * batch_size`` crosses :data:`AUTO_THRESHOLD` (or ``kernel``'s
+    :data:`KERNEL_AUTO_THRESHOLDS` entry), rather than requiring each
+    individual call to cross it.  Explicit backend names are validated and
+    returned unchanged, exactly like :func:`resolve_backend`.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     if backend is None or backend == "auto":
-        return resolve_backend(backend, n * batch_size)
+        return resolve_backend(backend, n * batch_size, kernel)
     return resolve_backend(backend, n)
 
 

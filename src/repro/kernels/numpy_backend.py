@@ -20,9 +20,13 @@ Each kernel restates the corresponding reference sweep of
     because weights are non-negative).  Only the few positions whose bound
     beats the incumbent are re-simulated exactly (a ``cumsum`` over the
     chunk's event-coverage matrix); everything else is skipped wholesale.
-    The incumbent is warm-started from the historic maxima of the highest
-    insertion-mass columns, which keeps the suspect sets tiny from the first
-    chunk on.  Observed ~10x over the segment-tree sweep at ``n = 100k``.
+    The incumbent is warm-started from the exact historic maxima of the few
+    columns with the highest insertion mass, and sizes the chunks: a
+    chunk's insertions may add about a fifth of it to the heaviest column's
+    bound (:func:`_rectangle_chunk`).  The placements replayed near the
+    incumbent are recorded and the best one re-scored canonically, so the
+    answer does not depend on the schedule, and a halo shard reproduces the
+    whole input's value bit for bit.
 
 ``disk_sweep`` / ``disk_sweep_segments`` / ``disk_neighbor_candidates``
     Every interacting pair is generated at once -- by a vectorised cell
@@ -73,25 +77,63 @@ TWO_PI = 2.0 * math.pi
 
 Coords = Tuple[float, ...]
 
-#: Maximum events per chunk of the rectangle sweep.  The effective chunk
-#: scales with the event count (see :func:`_rectangle_chunk`): a chunk must
-#: span a small fraction of the sweep or the insertions-only upper bound goes
-#: loose and every column becomes a suspect.
+#: Most events per chunk of the rectangle sweep.  The cap on a chunk is
+#: ``n_events // 128`` within ``[128, _RECT_CHUNK]``, so a chunk spans a
+#: small share of a long sweep, and its suspect matrices stay small.  The
+#: 1024 and the 1/128 come from the fixed schedule tuned at 100k points.
+#: Below 8k points the cap is its floor of 128: on the constraint grid
+#: (the table in :func:`rectangle_sweep`) a floor of 64 lost at 1k
+#: clustered points with 1.5 x 1.2 rectangles (1.47 vs 1.23 ms) and at 4k
+#: uniform points (10.9 vs 8.5 ms), and won only with tall 0.6 x 2.5
+#: rectangles (1k: 2.11 vs 2.70 ms; all with 4 warm columns).
 _RECT_CHUNK = 1024
 
 #: Columns simulated per batch in the suspect refinement (bounds memory:
 #: the coverage matrix is ``_RECT_CHUNK x _RECT_BATCH``).
 _RECT_BATCH = 2048
 
-#: Number of warm-start columns whose exact historic maximum seeds the
-#: incumbent before the chunked sweep begins.
-_RECT_WARM = 32
+#: Warm-start columns: the heaviest by insertion mass, whose exact historic
+#: maxima seed the incumbent that sizes the chunks.  Each costs a pass over
+#: every event; the former 32 took 1.0-1.7 ms of a 4-5 ms sweep at 1k
+#: points.  On ``cold_placements``-like rectangles (80 sizes from U(0.5, 3)
+#: x U(0.5, 3) on its 1k clustered points, best of 3 each, two seeds) the
+#: median sweep took 1.93 and 2.56 ms with 2 columns, 2.07 and 2.77 with 4,
+#: 2.22 and 2.72 with 8; from 10k to 100k points 2 and 4 read within each
+#: other's spread (100k uniform: 496 vs 485 ms; 100k clustered: 1626 vs
+#: 1631 ms).
+_RECT_WARM = 2
+
+#: Share of the incumbent that one chunk's insertions may add, on average,
+#: to the heaviest column's bound.  On the ``cold_placements``-like
+#: rectangles 0.15, 0.2 and 0.25 gave medians of 2.05, 2.07 and 2.14 ms on
+#: one seed and 2.80, 2.77 and 2.83 ms on the other (4 warm columns).
+#: Smaller shares lose on uniform points: at 0.125 the uniform cloud at
+#: 10k points took 28.7 ms against the fixed schedule's 25.8 ms.
+_RECT_SHARE = 0.2
+
+#: Fewest events per chunk: a chunk costs a dozen NumPy calls whatever its
+#: length.  The floor binds only when the incumbent is a small share of
+#: the heaviest column's mass; on the ``cold_placements``-like rectangles
+#: floors of 16, 32 and 64 read within 4% of each other (2.01, 2.07 and
+#: 2.06 ms; 2.69, 2.77 and 2.82 ms; 4 warm columns).
+_RECT_MIN_CHUNK = 32
 
 
-def _rectangle_chunk(n_events: int) -> int:
-    """Chunk size keeping the per-chunk insertion mass a small, constant
-    fraction (~1/128) of the sweep, capped so suspect matrices stay small."""
-    return max(64, min(_RECT_CHUNK, n_events // 128))
+def _rectangle_chunk(n_events: int, best: float, peak: float) -> int:
+    """Events per chunk of the rectangle sweep.
+
+    A chunk of ``c`` events inserts about ``peak * c / n_events`` into the
+    heaviest column (``peak`` is its insertion mass), so ``c`` is chosen to
+    make that :data:`_RECT_SHARE` of the incumbent ``best``: past that,
+    the insertions-only bound goes loose and columns that cannot win turn
+    into suspects.  The result lies between :data:`_RECT_MIN_CHUNK` and
+    the event-count cap; the cap alone serves when ``best`` or ``peak`` is
+    0 (all-zero weights).
+    """
+    cap = min(_RECT_CHUNK, max(128, n_events // 128))
+    if best <= 0.0 or peak <= 0.0:
+        return cap
+    return int(min(cap, max(_RECT_MIN_CHUNK, _RECT_SHARE * best * n_events / peak)))
 
 
 # --------------------------------------------------------------------------- #
@@ -166,6 +208,45 @@ def rectangle_sweep(
     points.  (2) Within a chunk, current value plus the chunk's insertions
     (ignoring removals) bounds every intermediate value from above, so
     columns whose bound does not beat the incumbent need no exact replay.
+
+    A placement is a column and an insertion coordinate ``a`` of a point
+    covering it.  Every placement whose running value comes within
+    ``1e-9`` relative of the incumbent is recorded where it is replayed:
+    in a warm-start column, or as a suspect, which it must be, as its
+    bound is at least its value.  So whatever the schedule, the records
+    hold every optimal placement.  With integer weights every sum is exact
+    and the running values are the placements' weights.  Other weights
+    leave the running sums with the rounding of the events the sweep
+    passed, so the recorded placements are re-scored canonically: the
+    weights of the points the rectangle covers, summed in point order.
+    The best value is reported at the lowest placement attaining it, by
+    ``(b, a)``.  So the answer does not depend on the warm start, the
+    chunk sizes or the incumbent, and a halo shard holding the covered
+    points reports the whole input's value bit for bit.
+
+    The schedule (:func:`_rectangle_chunk`) was chosen on this grid: ms per
+    sweep, the median over four alternating rounds of the best of 5 runs
+    (3 at 10k-20k points, 2 at 100k), on a 2-vCPU x86-64 VM, against the
+    fixed schedule it replaced (32 warm columns, then chunks of
+    ``max(64, min(1024, n_events // 128))`` events).  Inputs: a uniform
+    cloud of uniform weights at the ``kernels`` suite's density (extent
+    ``0.95 * sqrt(n)``) with 2 x 2 rectangles, and unit weights on three
+    Gaussian clusters over a 30% uniform background in a 10 x 10 square
+    (``cold_placements``' points) with 1.5 x 1.2 and 0.6 x 2.5 rectangles;
+    ndarrays, and tuple lists up to 1k points.
+
+    ======= ============= ============= ============= ============= =============
+    points  uniform 2x2   clust 1.5x1.2 clust 0.6x2.5 uniform list  clust list
+    ======= ============= ============= ============= ============= =============
+    32      0.39 -> 0.27  0.37 -> 0.20  0.38 -> 0.24  0.40 -> 0.28  0.38 -> 0.21
+    100     0.59 -> 0.43  0.52 -> 0.28  0.59 -> 0.35  0.61 -> 0.45  0.55 -> 0.30
+    300     1.04 -> 0.79  0.99 -> 0.56  1.23 -> 0.74  1.11 -> 0.86  1.01 -> 0.60
+    1k      2.48 -> 1.74  2.75 -> 1.17  3.35 -> 2.18  3.27 -> 2.36  4.04 -> 1.76
+    4k      11.8 -> 7.2   15.8 -> 8.0   15.4 -> 10.3
+    10k     25.5 -> 24.0  55.5 -> 35.8  50.7 -> 42.2
+    20k     73.3 -> 72.2  132 -> 95
+    100k    617 -> 502    3021 -> 1436
+    ======= ============= ============= ============= ============= =============
     """
     pts = np.asarray(coords, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -183,99 +264,131 @@ def rectangle_sweep(
     hi = np.searchsorted(b_cands, ys + 1e-9, side="right") - 1
 
     # Events sorted by (a, kind, point): insertions (kind 0) before removals
-    # at equal a, exactly like the reference sweep.
-    idx = np.arange(n)
+    # at equal a, exactly like the reference sweep.  Listed insertions
+    # first, each kind in point order, they need only a stable sort by a.
     ev_x = np.concatenate([xs - width, xs])
-    ev_kind = np.concatenate([np.zeros(n, dtype=np.int8), np.ones(n, dtype=np.int8)])
-    ev_pt = np.concatenate([idx, idx])
-    order = np.lexsort((ev_pt, ev_kind, ev_x))
+    order = np.argsort(ev_x, kind="stable")
     ex = ev_x[order]
-    is_ins = ev_kind[order] == 0
-    ev_pt = ev_pt[order]
+    is_ins = order < n
+    ev_pt = order % n
     elo = lo[ev_pt]
     ehi = hi[ev_pt]
     esw = np.where(is_ins, 1.0, -1.0) * w[ev_pt]
     n_events = 2 * n
 
     best = -np.inf
-    best_col = -1
+    # (columns, insertion events, running values) of the placements replayed
+    # within float noise of the incumbent.
+    found: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def record(columns: np.ndarray, events: np.ndarray, values: np.ndarray) -> None:
+        nonlocal best
+        best = max(best, float(values.max()))
+        near = values >= _near(best)
+        found.append((columns[near], events[near], values[near]))
 
     def consider_column(j: int) -> None:
         """Exact historic maximum of column ``j`` over the full event list."""
-        nonlocal best, best_col
-        cover = (elo <= j) & (ehi >= j)
-        prefix = np.cumsum(esw[cover])
-        ins_prefix = prefix[is_ins[cover]]
-        if ins_prefix.size:
-            value = float(ins_prefix.max())
-            if value > best:
-                best = value
-                best_col = j
+        events = np.flatnonzero((elo <= j) & (ehi >= j))
+        prefix = np.cumsum(esw[events])
+        ins = is_ins[events]
+        record(np.full(int(ins.sum()), j), events[ins], prefix[ins])
 
     # Warm start: the columns with the largest total insertion mass are the
-    # likeliest optima; seeding the incumbent with their exact maxima keeps
-    # the first chunks' suspect sets small.
-    diff = np.zeros(m + 1)
-    np.add.at(diff, lo, w)
-    np.add.at(diff, hi + 1, -w)
-    insertion_mass = np.cumsum(diff[:m])
-    k = min(_RECT_WARM, m)
-    for j in np.argpartition(insertion_mass, m - k)[m - k:]:
+    # likeliest optima, and their exact maxima seed the incumbent.
+    insertion_mass = np.cumsum(np.bincount(lo, weights=w, minlength=m + 1)[:m]
+                               - np.bincount(hi + 1, weights=w, minlength=m + 1)[:m])
+    warm = min(_RECT_WARM, m)
+    for j in np.argpartition(insertion_mass, m - warm)[m - warm:] if warm else ():
         consider_column(int(j))
-    consider_column(int(lo[0]))  # guarantees a valid placement even with all-zero weights
+    consider_column(int(lo[0]))  # a valid placement even with all-zero weights
 
-    chunk = _rectangle_chunk(n_events)
+    # An event adds its signed weight to columns lo..hi: +sw at lo and -sw
+    # at hi + 1 of a difference array, whose first row takes insertions
+    # and second row removals; one bincount per chunk fills both.
+    row = np.where(is_ins, 0, m + 1)
+    diff_at = np.stack((elo + row, ehi + 1 + row), axis=1).ravel()
+    diff_w = np.stack((esw, -esw), axis=1).ravel()
+    chunk = _rectangle_chunk(n_events, best, float(insertion_mass.max()))
     value_now = np.zeros(m)  # exact column values at the current chunk boundary
     for c0 in range(0, n_events, chunk):
         c1 = min(n_events, c0 + chunk)
-        l = elo[c0:c1]
-        h = ehi[c0:c1]
-        sw = esw[c0:c1]
+        change = np.bincount(diff_at[2 * c0:2 * c1], weights=diff_w[2 * c0:2 * c1],
+                             minlength=2 * m + 2).reshape(2, m + 1)[:, :m].cumsum(axis=1)
+        # Upper bound per column: current value + all chunk insertions.
+        bound = value_now + change[0]
         ins = is_ins[c0:c1]
-
         if ins.any():
-            # Upper bound per column: current value + all chunk insertions.
-            diff = np.zeros(m + 1)
-            np.add.at(diff, l[ins], sw[ins])
-            np.add.at(diff, h[ins] + 1, -sw[ins])
-            bound = value_now + np.cumsum(diff[:m])
-            # The margin absorbs reassociation noise between the bound (chunked
-            # sums) and the incumbent (sequential sums): suspects may only be
-            # over-included, never missed.
-            margin = 1e-9 * (1.0 + abs(best))
-            suspects = np.flatnonzero(bound > best - margin)
+            # The 1e-9 margin of _near absorbs reassociation noise between
+            # the bound (chunked sums) and the incumbent (sequential sums):
+            # suspects may only be over-included, never missed.
+            suspects = np.flatnonzero(bound >= _near(best))
+            l = elo[c0:c1]
+            h = ehi[c0:c1]
+            sw = esw[c0:c1]
             for s0 in range(0, suspects.size, _RECT_BATCH):
                 batch = suspects[s0:s0 + _RECT_BATCH]
-                cover = (l[:, None] <= batch[None, :]) & (h[:, None] >= batch[None, :])
-                prefix = np.cumsum(np.where(cover, sw[:, None], 0.0), axis=0)
-                prefix += value_now[batch][None, :]
-                ins_prefix = prefix[ins]
-                flat = int(np.argmax(ins_prefix))
-                value = float(ins_prefix.reshape(-1)[flat])
-                if value > best:
-                    best = value
-                    best_col = int(batch[flat % batch.size])
-
+                cover = (batch[:, None] >= l) & (batch[:, None] <= h)
+                prefix = np.where(cover, sw, 0.0).cumsum(axis=1)
+                prefix += value_now[batch][:, None]
+                # every running value is a state of the sweep, so none
+                # exceeds the optimum
+                peaks = prefix.max(axis=1)
+                best = max(best, float(peaks.max()))
+                near = (peaks >= _near(best)).nonzero()[0]
+                rows, at = (prefix[near] >= _near(best)).nonzero()
+                rows = near[rows]
+                hit = cover[rows, at] & ins[at]  # placements: covering insertions
+                if hit.any():
+                    record(batch[rows[hit]], c0 + at[hit], prefix[rows[hit], at[hit]])
         # Advance the chunk boundary exactly (insertions and removals).
-        diff = np.zeros(m + 1)
-        np.add.at(diff, l, sw)
-        np.add.at(diff, h + 1, -sw)
-        value_now += np.cumsum(diff[:m])
+        value_now = bound + change[1]
 
-    # Recover the winning insertion coordinate and report the column's value
-    # as one sequential in-order sum (deterministic across chunk sizes).
-    cover = (elo <= best_col) & (ehi >= best_col)
-    prefix = np.cumsum(esw[cover])
-    ins_sel = is_ins[cover]
-    ins_prefix = prefix[ins_sel]
-    p = int(np.argmax(ins_prefix))
-    best_value = float(ins_prefix[p])
-    a = float(ex[cover][ins_sel][p])
-    if best_value < 0.0:
-        # All-negative is impossible (weights >= 0); guard for -0.0 artifacts.
-        best_value = 0.0
-    return best_value, (a, float(b_cands[best_col]))
+    columns, events, values = (np.concatenate(part) for part in zip(*found))
+    near = values >= _near(best)
+    columns, events, values = columns[near], events[near], values[near]
+    if not _exact_sums(w):
+        placement = np.unique(columns * n_events + events)
+        columns, events = placement // n_events, placement % n_events
+        values = _rectangle_weight(columns, ex[events], lo, hi, xs, width, w)
+    tied = (values == values.max()).nonzero()[0]
+    first = tied[np.lexsort((events[tied], columns[tied]))[0]]
+    # max: weights are >= 0, so this only turns a -0.0 into 0.0
+    return (max(0.0, float(values[first])),
+            (float(ex[events[first]]), float(b_cands[columns[first]])))
 
+
+def _rectangle_weight(
+    columns: np.ndarray,
+    a: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    xs: np.ndarray,
+    width: float,
+    w: np.ndarray,
+) -> np.ndarray:
+    """Weight of the rectangle at each placement (column, ``a``), summed
+    over the covered points in point order.
+
+    A point covers the placement exactly when the sweep counts it there:
+    inserted at or before ``a`` (``x - width <= a``), removed after the
+    insertions at ``a`` (``x >= a``), and covering the column.
+    """
+    ins_x = xs - width
+    # only points that may cover some placement, still in point order
+    near = ((lo <= columns.max()) & (hi >= columns.min())
+            & (ins_x <= a.max()) & (xs >= a.min())).nonzero()[0]
+    lo, hi, ins_x, xs = lo[near], hi[near], ins_x[near], xs[near]
+    block = max(1, (1 << 20) // near.size)  # placements per coverage block
+    rows, points = [], []
+    for k0 in range(0, columns.size, block):
+        j = columns[k0:k0 + block, None]
+        at = a[k0:k0 + block, None]
+        r, p = ((lo <= j) & (hi >= j) & (ins_x <= at) & (xs >= at)).nonzero()
+        rows.append(r + k0)
+        points.append(near[p])
+    return _sum_in_point_order(np.concatenate(rows), np.concatenate(points),
+                               w, columns.size)
 
 # --------------------------------------------------------------------------- #
 # disk kernels (2-d angular sweep)
@@ -505,7 +618,7 @@ def disk_sweep_segments(
 
     pivots, scores, angles = (np.concatenate(column) for column in zip(*swept))
     top = best
-    if not (np.array_equal(w, np.floor(w)) and np.abs(w).sum() < 2.0 ** 53):
+    if not _exact_sums(w):
         # inexact weight arithmetic: running sums carry rounding
         keep = scores >= _near(best)[segment[pivots]]
         pivots, angles = pivots[keep], angles[keep]
@@ -531,6 +644,26 @@ def _near(best: np.ndarray) -> np.ndarray:
     """The lowest value still within float noise of each segment's best
     (``-inf`` while a segment has none)."""
     return best - 1e-9 * (1.0 + np.abs(best))
+
+
+def _exact_sums(w: np.ndarray) -> bool:
+    """Whether every sum of the weights ``w`` is exact in floating point,
+    in any order (integer weights of total magnitude below ``2**53``)."""
+    return bool(np.array_equal(w, np.floor(w)) and np.abs(w).sum() < 2.0 ** 53)
+
+
+def _sum_in_point_order(
+    rows: np.ndarray,
+    points: np.ndarray,
+    w: np.ndarray,
+    n_rows: int,
+) -> np.ndarray:
+    """Per row, the weights of its points summed in point order: one sum
+    per row, each a function of the row's points alone (every row holds at
+    least one point)."""
+    order = (rows * w.size + points).argsort()
+    sizes = np.bincount(rows, minlength=n_rows)
+    return np.add.reduceat(w[points[order]], sizes.cumsum() - sizes)
 
 
 def _covered_weight(
@@ -559,9 +692,7 @@ def _covered_weight(
                                     (s <= a) & (a <= e))
     rows = np.concatenate((np.arange(pivots.size), row[covered]))
     points = np.concatenate((pivots, other[pair[covered]]))
-    order = (rows * w.size + points).argsort()
-    sizes = np.bincount(rows, minlength=pivots.size)
-    return np.add.reduceat(w[points[order]], sizes.cumsum() - sizes)
+    return _sum_in_point_order(rows, points, w, pivots.size)
 
 
 def _sweep_block(

@@ -56,6 +56,9 @@ from .protocol import decode_request, response_to_dict
 
 __all__ = ["MaxRSServer"]
 
+#: Seconds :meth:`MaxRSServer.stop` waits for the server thread to finish.
+_STOP_TIMEOUT_S = 30.0
+
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 500: "Internal Server Error",
             503: "Service Unavailable"}
@@ -171,12 +174,20 @@ class MaxRSServer:
         shed.  Every connection is then closed -- one awaiting an admitted
         request's answer once it has it -- so no client can hold shutdown
         open.
+
+        Raises ``RuntimeError`` when the server thread still runs after
+        :data:`_STOP_TIMEOUT_S` seconds (say, a ``serve()`` window that has
+        not returned): the server has not stopped, and a later call waits
+        for it again.
         """
         loop, stop_event = self._loop, self._stop_event
         if loop is not None and stop_event is not None and loop.is_running():
             loop.call_soon_threadsafe(stop_event.set)
         if self._thread is not None:
-            self._thread.join(timeout=30.0)
+            self._thread.join(timeout=_STOP_TIMEOUT_S)
+            if self._thread.is_alive():
+                raise RuntimeError("server did not stop within %gs"
+                                   % _STOP_TIMEOUT_S)
         self._executor.shutdown(wait=False)
 
     async def _main(self) -> None:

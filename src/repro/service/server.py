@@ -378,7 +378,7 @@ class MaxRSService:
             query = key[1]
             if query.backend == "auto":
                 query = replace(query, backend=resolve_batch_backend(
-                    "auto", len(self._engine), len(misses)))
+                    "auto", len(self._engine), len(misses), query.sweep_kernel))
             concrete.append(query)
         solver_calls = 0
         # Indices into misses routed through solve_batch: all of them under

@@ -320,6 +320,98 @@ def test_numpy_disk_sweep_is_shard_stable(dataset):
         value, center)
 
 
+def _schedule_case(name):
+    """One small rectangle-sweep input, ``(points, weights)``, for a
+    1.5 x 1.0 rectangle."""
+    rng = np.random.default_rng(83)
+    if name == "uniform":
+        return uniform_weighted_points(60, dim=2, extent=6.0, seed=83)
+    if name == "clustered":
+        points = clustered_points(80, dim=2, extent=6.0, clusters=3, seed=89)
+        return points, [float(w) for w in rng.integers(1, 4, size=80)]
+    if name == "half-grid":
+        # coordinates on a half-unit grid: ties everywhere
+        points = [(0.5 * x, 0.5 * y) for x, y in rng.integers(0, 8, size=(70, 2))]
+        return points, [float(w) for w in rng.integers(0, 3, size=70)]
+    if name == "spread":
+        # one column holds all 40 points, a rectangle only one: the chunk
+        # rule asks for less than one event
+        return [(3.0 * i, 0.01 * i) for i in range(40)], [1.0] * 40
+    if name == "blob":
+        # one rectangle holds every point, the first the highest (so the
+        # first point's column holds them all too): the rule asks for 20
+        return [(0.02 * i, 0.4 - 0.01 * i) for i in range(40)], [1.0] * 40
+    if name == "zero":
+        points, _ = uniform_weighted_points(40, dim=2, extent=4.0, seed=97)
+        return points, [0.0] * 40
+    raise AssertionError(name)
+
+
+@pytest.mark.parametrize("warm", [0, 1])
+@pytest.mark.parametrize("case", ["uniform", "clustered", "half-grid", "spread",
+                                  "blob", "zero"])
+def test_rectangle_sweep_schedule_conformance(case, warm, monkeypatch):
+    """The NumPy rectangle sweep with its schedule shrunk to chunks of 2-5
+    events and 0-1 warm-start columns: many chunks, the chunk rule clamped
+    at the floor (``spread``) and at the cap (``blob``), and the cap alone
+    when the incumbent and insertion mass are 0 (``zero``).  The answer
+    agrees with the Python reference, re-scores to its value, and is the
+    default schedule's answer bit for bit."""
+    numpy_backend = kernels.get_backend("numpy")
+    points, ws = _schedule_case(case)
+    width, height = 1.5, 1.0
+    default = numpy_backend.rectangle_sweep(points, ws, width, height)
+    chunk_rule = numpy_backend._rectangle_chunk
+    chunks = []
+    monkeypatch.setattr(numpy_backend, "_RECT_WARM", warm)
+    monkeypatch.setattr(numpy_backend, "_RECT_MIN_CHUNK", 2)
+    monkeypatch.setattr(numpy_backend, "_RECT_CHUNK", 5)
+    monkeypatch.setattr(numpy_backend, "_rectangle_chunk",
+                        lambda *args: chunks.append((args, chunk_rule(*args)))
+                        or chunks[-1][1])
+    value, corner = numpy_backend.rectangle_sweep(points, ws, width, height)
+    reference, _ = kernels.get_backend("python").rectangle_sweep(
+        points, ws, width, height)
+
+    (n_events, best, peak), chunk = chunks[0]
+    assert n_events // chunk >= 16
+    expected = {"spread": 2, "blob": 5, "zero": 5}
+    assert chunk == expected.get(case, chunk) and 2 <= chunk <= 5
+    if case == "zero":
+        assert best == peak == 0.0
+    else:
+        assert best > 0.0 and peak > 0.0
+    if all(w == int(w) for w in ws):
+        assert value == reference
+    else:
+        assert _close(value, reference)
+    score = _score_rectangle(corner, width, height, points, ws)
+    assert _close(score, value)
+    assert (value, corner) == default
+
+
+@pytest.mark.parametrize("n, seed, width, height", [(1000, 12, 0.6, 2.5),
+                                                    (4000, 6, 1.5, 1.2)])
+def test_numpy_rectangle_answer_does_not_depend_on_the_schedule(
+        n, seed, width, height, monkeypatch):
+    """Real weights: the warm start, the chunk sizes and the incumbent
+    change which placements the sweep replays, not its answer (value and
+    corner, bit for bit).  On these inputs, reporting the winning column's
+    running sum gives a different answer under each of these schedules."""
+    numpy_backend = kernels.get_backend("numpy")
+    points = clustered_points(n, dim=2, extent=12.0, clusters=4, seed=seed)
+    ws = np.random.default_rng(seed).uniform(0.5, 2.0, n)
+    answers = set()
+    for warm, floor, cap, share in ((32, 64, 64, 0.25), (8, 256, 1024, 1.0),
+                                    (1, 16, 1024, 0.05)):
+        monkeypatch.setattr(numpy_backend, "_RECT_WARM", warm)
+        monkeypatch.setattr(numpy_backend, "_RECT_MIN_CHUNK", floor)
+        monkeypatch.setattr(numpy_backend, "_RECT_CHUNK", cap)
+        monkeypatch.setattr(numpy_backend, "_RECT_SHARE", share)
+        answers.add(numpy_backend.rectangle_sweep(points, ws, width, height))
+    assert len(answers) == 1
+
+
 def test_probe_depths_agree():
     points, ws = uniform_weighted_points(150, dim=2, extent=6.0, seed=67)
     probes = [(x + 0.25, y - 0.25) for x, y in points[:40]]
@@ -369,7 +461,10 @@ class TestRegistry:
         assert kernels.resolve_backend("auto", disk, "disk_sweep") == "numpy"
         assert Query.disk(1.0).sweep_kernel == "disk_sweep"
         assert Query.topk_disk(1.0, 2).sweep_kernel == "disk_sweep"
-        assert Query.rectangle(1.0, 1.0).sweep_kernel is None
+        assert Query.rectangle(1.0, 1.0).sweep_kernel == "rectangle_sweep"
+        assert Query.topk_rectangle(1.0, 1.0, 2).sweep_kernel == "rectangle_sweep"
+        assert Query.interval(1.0).sweep_kernel == "interval_sweep"
+        assert Query.colored_rectangle(1.0, 1.0).sweep_kernel is None
         assert Query.colored_disk(1.0).sweep_kernel is None
         assert resolve_task_backend("auto", disk, "disk_sweep") == "numpy"
         assert _array_inputs(Query.disk(1.0), disk)

@@ -275,6 +275,15 @@ class TestEngineMatchesExactSolvers:
         direct = maxrs_rectangle_exact(points, width=2.0, height=1.5, weights=weights)
         assert abs(sharded.value - direct.value) < 1e-9
 
+    @pytest.mark.parametrize("kind", ["uniform", "hotspot"])
+    def test_numpy_rectangle_shards_reproduce_the_direct_value(self, kind):
+        """Real weights on the NumPy kernels: each halo shard sweeps its
+        own schedule, yet the sharded value is the direct one bit for bit."""
+        points, weights = workload(kind, 1500, 41)
+        query = Query.rectangle(2.0, 1.5, backend="numpy")
+        with QueryEngine(points, weights=weights, target_shards=9) as engine:
+            assert engine.solve(query).value == engine.solve_direct(query).value
+
     def test_interval_matches_serial(self):
         xs = [(x * 0.37 % 11.0,) for x in range(200)]
         with QueryEngine(xs) as engine:

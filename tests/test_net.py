@@ -12,6 +12,7 @@ import http.client
 import json
 import logging
 import socket
+import threading
 import time
 
 import pytest
@@ -248,6 +249,47 @@ class TestServer:
                         if record.name == "asyncio"
                         and record.levelno >= logging.ERROR]
         finally:
+            client.close()
+            server.stop()
+            service.close()
+
+    def test_stop_raises_while_the_server_thread_runs_on(self, monkeypatch):
+        """stop() reports a stop that did not happen: with a serve() window
+        that has not returned, the join times out and stop() raises; once
+        the window returns, stop() completes and the thread is gone."""
+        from repro.net import server as server_module
+
+        service = MaxRSService(POINTS)
+        entered, release = threading.Event(), threading.Event()
+        serve = service.serve
+
+        def blocked_serve(requests):
+            entered.set()
+            release.wait(30)
+            return serve(requests)
+
+        monkeypatch.setattr(service, "serve", blocked_serve)
+        server = MaxRSServer(service, max_pending=8)
+        server.start_in_thread()
+        event = RequestEvent(kind="query", arrival=0.0,
+                             query=Query.rectangle(1.0, 1.0))
+        body = encode_request(event)
+        client = socket.create_connection((server.host, server.port),
+                                          timeout=30)
+        try:
+            client.sendall(b"POST /v1/request HTTP/1.1\r\nContent-Length: %d"
+                           b"\r\n\r\n%s" % (len(body), body))
+            assert entered.wait(30)
+            monkeypatch.setattr(server_module, "_STOP_TIMEOUT_S", 0.2)
+            with pytest.raises(RuntimeError, match="did not stop"):
+                server.stop()
+            assert server._thread.is_alive()
+            release.set()
+            server.stop()
+            assert not server._thread.is_alive()
+            assert client.recv(65536).startswith(b"HTTP/1.1 200")
+        finally:
+            release.set()
             client.close()
             server.stop()
             service.close()

@@ -283,6 +283,20 @@ class TestStaticServing:
         assert response.result.meta["sharded"]
         assert response.result.value == solve_query(box, points, None, colors).value
 
+    def test_small_dataset_misses_resolve_by_kernel_threshold(self, monkeypatch):
+        """A static miss resolves ``auto`` against its sweep's measured
+        threshold, not the default 512: on 100 points a rectangle and a
+        disk run on the NumPy kernels, with the direct answer."""
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        points = POINTS[:100]
+        with MaxRSService(points) as service:
+            for query in (Query.rectangle(2.0, 2.0), Query.disk(1.0)):
+                response = service.request(ServiceRequest.static(query))
+                assert response.served_query.backend == "numpy"
+                reference = solve_query(response.served_query, list(points),
+                                        None, None)
+                assert response.result.value == reference.value
+
     def test_coalescing_and_caching(self):
         query = ServiceRequest.static(Query.disk(1.0))
         with MaxRSService(POINTS) as service:
