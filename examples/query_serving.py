@@ -20,7 +20,7 @@ shows:
 Run with:  python examples/query_serving.py
 """
 
-from repro.datasets import clustered_points, request_trace
+from repro.datasets import clustered_points, request_trace, trace_counts
 from repro.datasets.streams import UpdateEvent
 from repro.engine import Query
 from repro.engine.planner import solve_query
@@ -80,7 +80,7 @@ def main() -> None:
                               update_batch=8)
         report = service.serve_trace(trace, window=WINDOW)
         snapshot = service.snapshot()
-        counts = trace.counts
+        counts = trace_counts(trace)
         print("\nReplayed %d requests (%d query / %d monitor / %d update):"
               % (report.requests, counts["query"], counts["monitor"],
                  counts["update"]))

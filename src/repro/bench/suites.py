@@ -1076,13 +1076,13 @@ class ServingSloSuite(GridSuite):
         # per micro-batch, and differing batch shapes between the wire and
         # the in-process replay could pick different (tie-breaking) kernels.
         catalog = default_query_catalog(backend="numpy", heavy=False)
-        steady = list(request_trace(
+        steady = request_trace(
             int(config["requests"]), catalog=catalog, monitor_fraction=0.0,
-            update_every=0, rate=float(config["base_rate"]), seed=seed))
-        overload = list(request_trace(
+            update_every=0, rate=float(config["base_rate"]), seed=seed)
+        overload = request_trace(
             int(config["overload_requests"]), catalog=self._slow_catalog(),
             monitor_fraction=0.0, update_every=0,
-            rate=float(config["base_rate"]), seed=seed + 1))
+            rate=float(config["base_rate"]), seed=seed + 1)
         with MaxRSService(coords) as service:
             replay = service.serve_trace(steady)
         reference = [None if response.result is None

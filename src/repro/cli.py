@@ -55,8 +55,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import obs
 
-from .boxes import colored_maxrs_box
-from .core import colored_maxrs_disk, max_range_sum_ball
 from .datasets import (
     UpdateStream,
     adversarial_churn_stream,
@@ -71,12 +69,6 @@ from .datasets import (
 )
 from .datasets.io import read_points_csv, write_points_csv
 from .engine import Query, QueryEngine, solve_query
-from .exact import (
-    colored_maxrs_disk_sweep,
-    maxrs_disk_exact,
-    maxrs_interval_exact,
-    maxrs_rectangle_exact,
-)
 
 __all__ = ["build_parser", "main"]
 
@@ -222,30 +214,6 @@ def _query_from_args(args: argparse.Namespace, has_colors: bool) -> Optional[Que
                                           seed=args.seed)
 
 
-def _solve_with_engine(args: argparse.Namespace, table) -> int:
-    # No --executor: --workers > 1 implies the shared-memory worker pool,
-    # otherwise the default executor (REPRO_EXECUTOR if set, serial below
-    # that).
-    executor = args.executor or ("shared-process" if args.workers > 1 else None)
-    try:
-        query = _query_from_args(args, table.colors is not None)
-        if query is None:
-            print("colored solvers need a 'color' column in the input CSV",
-                  file=sys.stderr)
-            return 2
-        with QueryEngine(table.points, weights=table.weights, colors=table.colors,
-                         executor=executor, workers=args.workers) as engine:
-            result = engine.solve(query)
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    shards = result.meta.get("shards", 1)
-    _print_result(result)
-    print("engine:    sharded (%s, workers=%d, shards=%s)"
-          % (result.meta.get("executor", "serial"), args.workers, shards))
-    return 0
-
-
 def _print_result(result) -> None:
     placement = "none" if result.center is None else ", ".join("%.4f" % c for c in result.center)
     print("shape:     %s" % result.shape)
@@ -270,63 +238,38 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _solve_table(args: argparse.Namespace, table) -> int:
     """Route one ``solve`` invocation (direct or engine-backed) over a
-    parsed point table."""
-    if args.engine == "sharded":
-        return _solve_with_engine(args, table)
-    points = table.points
-    weights = table.weights
-    colors = table.colors
+    parsed point table.
 
-    if args.family != "single":
-        # The zoo families share one direct dispatch point with the engine
-        # and service (engine.solve_query), so `solve --family` answers are
-        # bit-identical to what routing="direct" serves.
-        try:
-            query = _query_from_args(args, colors is not None)
-            if query is None:
-                print("colored solvers need a 'color' column in the input CSV",
-                      file=sys.stderr)
-                return 2
-            result = solve_query(query, points, weights, colors)
-        except ValueError as error:
-            print(str(error), file=sys.stderr)
+    The direct path is the one dispatch point the engine and the service
+    share (``engine.solve_query``), so ``solve`` answers are bit-identical
+    to what ``routing="direct"`` serves.
+    """
+    try:
+        query = _query_from_args(args, table.colors is not None)
+        if query is None:
+            print("colored solvers need a 'color' column in the input CSV",
+                  file=sys.stderr)
             return 2
-        _print_result(result)
-        return 0
-
-    if args.shape == "interval":
-        result = maxrs_interval_exact(points, length=args.length, weights=weights,
-                                      backend=args.backend)
-    elif args.shape == "rectangle":
-        result = maxrs_rectangle_exact(points, width=args.width, height=args.height,
-                                       weights=weights, backend=args.backend)
-    elif args.shape == "disk":
-        result = maxrs_disk_exact(points, radius=args.radius, weights=weights,
-                                  backend=args.backend)
-    elif args.shape == "ball-approx":
-        result = max_range_sum_ball(points, radius=args.radius, epsilon=args.epsilon,
-                                    weights=weights, seed=args.seed, backend=args.backend)
-    elif args.shape == "colored-disk":
-        if colors is None:
-            print("colored solvers need a 'color' column in the input CSV", file=sys.stderr)
-            return 2
-        if args.exact:
-            result = colored_maxrs_disk_sweep(points, radius=args.radius, colors=colors,
-                                              backend=args.backend)
+        if args.engine == "sharded":
+            # No --executor: --workers > 1 implies the shared-memory worker
+            # pool, otherwise the default executor (REPRO_EXECUTOR if set,
+            # serial below that).
+            executor = args.executor or ("shared-process" if args.workers > 1
+                                         else None)
+            with QueryEngine(table.points, weights=table.weights,
+                             colors=table.colors, executor=executor,
+                             workers=args.workers) as engine:
+                result = engine.solve(query)
         else:
-            result = colored_maxrs_disk(points, radius=args.radius, epsilon=args.epsilon,
-                                        colors=colors, seed=args.seed, backend=args.backend)
-    elif args.shape == "colored-box":
-        if colors is None:
-            print("colored solvers need a 'color' column in the input CSV", file=sys.stderr)
-            return 2
-        result = colored_maxrs_box(points, width=args.width, height=args.height,
-                                   epsilon=args.epsilon, colors=colors, seed=args.seed)
-    else:  # pragma: no cover - argparse restricts choices
-        print("unknown shape %r" % args.shape, file=sys.stderr)
+            result = solve_query(query, table.points, table.weights, table.colors)
+    except ValueError as error:
+        print(str(error), file=sys.stderr)
         return 2
-
     _print_result(result)
+    if args.engine == "sharded":
+        print("engine:    sharded (%s, workers=%d, shards=%s)"
+              % (result.meta.get("executor", "serial"), args.workers,
+                 result.meta.get("shards", 1)))
     return 0
 
 
@@ -485,6 +428,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         load_trace,
         request_trace,
         save_trace,
+        trace_counts,
     )
     from .service import MaxRSService
     from .streaming import ShardedMaxRSMonitor
@@ -505,7 +449,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.replay:
         try:
             trace = load_trace(args.replay)
-        except (OSError, ValueError, KeyError) as error:
+        except (OSError, ValueError, KeyError, TypeError) as error:
             print("cannot load trace %s: %s" % (args.replay, error), file=sys.stderr)
             return 2
     else:
@@ -543,7 +487,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(str(error), file=sys.stderr)
         return 2
 
-    counts = trace.counts
+    counts = trace_counts(trace)
     errors = [r for r in report.responses if not r.ok]
     print("trace:       %d requests (%d query / %d monitor / %d update, %d stream events)"
           % (len(trace), counts["query"], counts["monitor"], counts["update"],
@@ -649,17 +593,17 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         return 2
     if args.replay:
         try:
-            trace = list(load_trace(args.replay))
-        except (OSError, ValueError, KeyError) as error:
+            trace = load_trace(args.replay)
+        except (OSError, ValueError, KeyError, TypeError) as error:
             print("cannot load trace %s: %s" % (args.replay, error),
                   file=sys.stderr)
             return 2
     else:
         catalog = default_query_catalog(backend=args.backend)
-        trace = list(request_trace(args.requests, catalog=catalog,
-                                   monitor_fraction=0.0, update_every=0,
-                                   rate=args.rate, seed=args.seed,
-                                   extent=args.extent))
+        trace = request_trace(args.requests, catalog=catalog,
+                              monitor_fraction=0.0, update_every=0,
+                              rate=args.rate, seed=args.seed,
+                              extent=args.extent)
     try:
         report = run_loadgen(host, port, trace, speedup=args.speedup,
                              clients=args.clients, timeout=args.timeout)

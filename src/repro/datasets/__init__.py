@@ -15,7 +15,10 @@ in mind (see DESIGN.md, experiments E1-E10):
 * :mod:`repro.datasets.trajectories` -- colored points sampled from random
   walks, one color per entity (the wildlife-monitoring scenario of Section 1.3);
 * :mod:`repro.datasets.streams` -- insert/delete update streams (the COVID
-  hotspot-monitoring scenario of Section 1.1).
+  hotspot-monitoring scenario of Section 1.1);
+* :mod:`repro.datasets.requests` -- :class:`ServiceRequest`, the one
+  request type of the serving stack, and synthetic request traces (plain
+  lists of requests) with their JSONL persistence.
 """
 
 from .generators import (
@@ -35,14 +38,14 @@ from .streams import (
     sliding_window_stream,
 )
 from .requests import (
-    RequestEvent,
-    RequestTrace,
+    ServiceRequest,
     default_query_catalog,
     load_trace,
     request_from_dict,
     request_to_dict,
     request_trace,
     save_trace,
+    trace_counts,
 )
 from .trajectories import trajectory_colored_points
 from .io import PointTable, read_points_csv, write_points_csv
@@ -62,10 +65,10 @@ __all__ = [
     "drift_stream",
     "burst_stream",
     "adversarial_churn_stream",
-    "RequestEvent",
-    "RequestTrace",
+    "ServiceRequest",
     "default_query_catalog",
     "request_trace",
+    "trace_counts",
     "request_to_dict",
     "request_from_dict",
     "save_trace",

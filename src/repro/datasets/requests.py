@@ -1,10 +1,14 @@
-"""Synthetic request traces for the query-serving front end.
+"""The request type of the query-serving front end, and synthetic traces.
 
-The serving layer (:mod:`repro.service`) is exercised with *request traces*:
-ordered sequences of heterogeneous service requests -- static MaxRS queries
-against a fixed dataset, hotspot reads against a live stream monitor, and
-update batches that mutate the monitor's live set.  This module synthesises
-the traffic shapes the serving benchmarks and tests replay:
+:class:`ServiceRequest` is the project's one request type: a saved trace
+line, a wire body decoded by :mod:`repro.net` and a request served by
+:mod:`repro.service` are the same object -- a static MaxRS query against a
+fixed dataset, a hotspot read against a live stream monitor, or an update
+batch that mutates the monitor's live set.
+
+The serving layer is exercised with *request traces*: plain lists of
+requests in arrival order.  This module synthesises the traffic shapes the
+serving benchmarks and tests replay:
 
 * an **open-loop arrival process** -- requests arrive on exponential
   interarrival gaps at a base rate, punctuated by *hotspot windows* during
@@ -25,16 +29,18 @@ reproducible byte-for-byte.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from numbers import Real
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..engine.planner import Query
 from ..core.sampling import default_rng
 from .streams import UpdateEvent, hotspot_monitoring_stream
 
 __all__ = [
-    "RequestEvent",
-    "RequestTrace",
+    "ServiceRequest",
+    "trace_counts",
     "default_query_catalog",
     "zoo_query_catalog",
     "request_trace",
@@ -46,8 +52,8 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class RequestEvent:
-    """One request of a serving trace.
+class ServiceRequest:
+    """One MaxRS request: a trace line, a wire body and a served request.
 
     ``kind`` selects the request family:
 
@@ -60,7 +66,15 @@ class RequestEvent:
       monitor, invalidating monitor-derived cached answers.
 
     ``arrival`` is the request's open-loop arrival time in seconds from the
-    start of the trace (non-decreasing along a trace).
+    start of its trace (non-decreasing along a trace).  Only the load
+    generator reads it; the service ignores it.
+
+    Build requests with the named constructors -- :meth:`static`,
+    :meth:`read`, :meth:`update` -- or, for a timed trace, directly.  A
+    malformed field raises ``ValueError`` here, so a bad wire body is
+    refused (400) before it can reach a serving window.  Requests are
+    frozen; the batcher coalesces requests whose :attr:`coalesce_key` is
+    equal, which ``arrival`` does not enter.
     """
 
     kind: str
@@ -76,31 +90,49 @@ class RequestEvent:
             raise ValueError("query requests need a query")
         if self.kind == "update" and not self.events:
             raise ValueError("update requests need at least one stream event")
+        if self.name is not None and not isinstance(self.name, str):
+            raise ValueError("request name must be a string, got %s"
+                             % type(self.name).__name__)
+        # bool is a Real; "not 0 <= x < inf" also refuses NaN.
+        if (isinstance(self.arrival, bool) or not isinstance(self.arrival, Real)
+                or not 0.0 <= self.arrival < math.inf):
+            raise ValueError("request arrival must be a finite number >= 0, "
+                             "got %r" % (self.arrival,))
 
+    @staticmethod
+    def static(query: Query) -> "ServiceRequest":
+        """A static MaxRS query against the service's fixed dataset."""
+        return ServiceRequest(kind="query", query=query)
 
-class RequestTrace:
-    """An ordered, replayable sequence of :class:`RequestEvent` objects."""
+    @staticmethod
+    def read(name: Optional[str] = None) -> "ServiceRequest":
+        """A hotspot read against the live monitor (``name`` selects one
+        standing query of a multi-query monitor)."""
+        return ServiceRequest(kind="monitor", name=name)
 
-    def __init__(self, requests: Sequence[RequestEvent]):
-        self.requests: List[RequestEvent] = list(requests)
-
-    def __len__(self) -> int:
-        return len(self.requests)
-
-    def __iter__(self) -> Iterator[RequestEvent]:
-        return iter(self.requests)
-
-    def __getitem__(self, index):
-        return self.requests[index]
+    @staticmethod
+    def update(events) -> "ServiceRequest":
+        """An update batch: stream events applied to the live monitor."""
+        return ServiceRequest(kind="update", events=tuple(events))
 
     @property
-    def counts(self) -> dict:
-        """Request counts per kind plus the total stream events carried."""
-        counts = {"query": 0, "monitor": 0, "update": 0, "stream_events": 0}
-        for request in self.requests:
-            counts[request.kind] += 1
-            counts["stream_events"] += len(request.events)
-        return counts
+    def coalesce_key(self):
+        """Requests with equal keys are satisfied by one answer (``None``
+        means the request is never coalesced -- updates mutate state)."""
+        if self.kind == "query":
+            return ("q", self.query)
+        if self.kind == "monitor":
+            return ("m", self.name)
+        return None
+
+
+def trace_counts(requests: Iterable[ServiceRequest]) -> dict:
+    """Request counts per kind plus the total stream events carried."""
+    counts = {"query": 0, "monitor": 0, "update": 0, "stream_events": 0}
+    for request in requests:
+        counts[request.kind] += 1
+        counts["stream_events"] += len(request.events)
+    return counts
 
 
 def default_query_catalog(
@@ -194,7 +226,7 @@ def request_trace(
     seed=None,
     families: Optional[Sequence[str]] = None,
     families_backend: str = "auto",
-) -> RequestTrace:
+) -> List[ServiceRequest]:
     """Synthesise a mixed open-loop serving trace of ``n_requests`` requests.
 
     Parameters
@@ -262,7 +294,7 @@ def request_trace(
                                             extent=extent, seed=rng))
     stream_cursor = 0
 
-    requests: List[RequestEvent] = []
+    requests: List[ServiceRequest] = []
     clock = 0.0
     for index in range(n_requests):
         in_hotspot = hotspot_every > 0 and (index % hotspot_every) < hotspot_length
@@ -272,16 +304,16 @@ def request_trace(
             chunk = stream[stream_cursor:stream_cursor + update_batch]
             stream_cursor += len(chunk)
             if chunk:
-                requests.append(RequestEvent(kind="update", arrival=clock,
-                                             events=tuple(chunk)))
+                requests.append(ServiceRequest(kind="update", arrival=clock,
+                                               events=tuple(chunk)))
                 continue
         if rng.random() < monitor_fraction:
-            requests.append(RequestEvent(kind="monitor", arrival=clock))
+            requests.append(ServiceRequest(kind="monitor", arrival=clock))
         else:
             choice = int(rng.choice(len(queries), p=popularity))
-            requests.append(RequestEvent(kind="query", arrival=clock,
-                                         query=queries[int(order[choice])]))
-    return RequestTrace(requests)
+            requests.append(ServiceRequest(kind="query", arrival=clock,
+                                           query=queries[int(order[choice])]))
+    return requests
 
 
 # --------------------------------------------------------------------------- #
@@ -297,8 +329,8 @@ def _event_to_dict(event: UpdateEvent) -> dict:
     return {k: v for k, v in payload.items() if v is not None}
 
 
-def request_to_dict(request: RequestEvent) -> dict:
-    """One :class:`RequestEvent` as a JSON-ready dict.
+def request_to_dict(request: ServiceRequest) -> dict:
+    """One :class:`ServiceRequest` as a JSON-ready dict.
 
     This is the single request-serialisation schema of the project: the
     lines :func:`save_trace` writes and the request bodies the network
@@ -314,8 +346,8 @@ def request_to_dict(request: RequestEvent) -> dict:
     return record
 
 
-def request_from_dict(record: dict) -> RequestEvent:
-    """Rebuild a :class:`RequestEvent` from :func:`request_to_dict` output.
+def request_from_dict(record: dict) -> ServiceRequest:
+    """Rebuild a :class:`ServiceRequest` from :func:`request_to_dict` output.
 
     Raises ``ValueError`` / ``TypeError`` / ``KeyError`` on malformed
     records -- callers decoding untrusted input (the JSONL loader, the
@@ -337,14 +369,14 @@ def request_from_dict(record: dict) -> RequestEvent:
         )
         for e in record.get("events", ())
     )
-    return RequestEvent(kind=record["kind"],
-                        arrival=record.get("arrival", 0.0),
-                        query=query,
-                        name=record.get("name"),
-                        events=events)
+    return ServiceRequest(kind=record["kind"],
+                          arrival=record.get("arrival", 0.0),
+                          query=query,
+                          name=record.get("name"),
+                          events=events)
 
 
-def save_trace(path: str, trace: RequestTrace) -> None:
+def save_trace(path: str, trace: Sequence[ServiceRequest]) -> None:
     """Write a trace as JSON lines (one request per line, replayable with
     ``repro serve --replay``)."""
     with open(path, "w") as handle:
@@ -352,13 +384,13 @@ def save_trace(path: str, trace: RequestTrace) -> None:
             handle.write(json.dumps(request_to_dict(request)) + "\n")
 
 
-def load_trace(path: str) -> RequestTrace:
+def load_trace(path: str) -> List[ServiceRequest]:
     """Read a trace previously written by :func:`save_trace`."""
-    requests: List[RequestEvent] = []
+    requests: List[ServiceRequest] = []
     with open(path) as handle:
         for line in handle:
             line = line.strip()
             if not line:
                 continue
             requests.append(request_from_dict(json.loads(line)))
-    return RequestTrace(requests)
+    return requests

@@ -32,7 +32,6 @@ from .planner import (
     Query,
     QueryEngine,
     dataset_fingerprint,
-    resolve_task_backend,
     solve_query,
 )
 from .sharding import ShardPlan, choose_tile_sides, plan_shards, tile_keys_for_point
@@ -43,7 +42,6 @@ __all__ = [
     "QueryEngine",
     "dataset_fingerprint",
     "solve_query",
-    "resolve_task_backend",
     "Executor",
     "SerialExecutor",
     "get_executor",

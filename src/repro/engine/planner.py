@@ -64,7 +64,6 @@ __all__ = [
     "QueryEngine",
     "dataset_fingerprint",
     "solve_query",
-    "resolve_task_backend",
 ]
 
 Coords = Tuple[float, ...]
@@ -549,21 +548,6 @@ def _route_query(
                                      weights=weights, backend=query.backend)
     return maxrs_interval_exact(coords, length=query.length, weights=weights,
                                 backend=query.backend)
-
-
-def resolve_task_backend(backend: str, shard_population: int,
-                         kernel: Optional[str] = None) -> str:
-    """Per-shard kernel-backend choice, shared by the batch planner and the
-    streaming monitors.
-
-    ``"auto"`` resolves against the *shard's* population (not the whole
-    dataset's), so fine shards run the pure-Python loops -- no NumPy per-call
-    overhead -- while big shards vectorise; ``kernel`` names the kernel
-    whose :data:`repro.kernels.KERNEL_AUTO_THRESHOLDS` entry applies (see
-    :attr:`Query.sweep_kernel`).  Explicit backend names are validated
-    (unknown names raise ``ValueError``) and returned unchanged.
-    """
-    return resolve_backend(backend, shard_population, kernel)
 
 
 def _array_inputs(query: Query, n: int) -> bool:
@@ -1058,7 +1042,7 @@ class QueryEngine:
                     indices = plan.shard_indices(ordinal)
                     task_query = query
                     if query.backend == "auto":
-                        task_query = replace(query, backend=resolve_task_backend(
+                        task_query = replace(query, backend=resolve_backend(
                             "auto", len(indices), query.sweep_kernel))
                     source = (block.descriptor(dataset, ordinal)
                               if block is not None else self._slice(indices))
@@ -1176,7 +1160,7 @@ class QueryEngine:
                     continue
                 task_query = base
                 if base.backend == "auto":
-                    task_query = replace(base, backend=resolve_task_backend(
+                    task_query = replace(base, backend=resolve_backend(
                         "auto", len(live), base.sweep_kernel))
                 tasks.append((task_query, self._slice(live)))
             if not tasks:

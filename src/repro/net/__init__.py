@@ -6,7 +6,9 @@ process.  This package puts the serving stack on the wire:
 * :mod:`repro.net.protocol` -- the JSON request/response codec.  Request
   bodies are exactly the JSONL records of :mod:`repro.datasets.requests`
   (one :func:`~repro.datasets.requests.request_to_dict` object per
-  request), so a saved trace line and a wire request are the same bytes;
+  request), so a saved trace line and a wire request are the same bytes,
+  and both decode to the :class:`~repro.datasets.requests.ServiceRequest`
+  the service serves;
   responses carry the answer, the routing provenance (``served_from``) and
   the per-response error, mirroring
   :class:`~repro.service.requests.ServiceResponse`.
@@ -18,7 +20,7 @@ process.  This package puts the serving stack on the wire:
   unboundedly (open-loop overload stays bounded by construction).
 * :mod:`repro.net.loadgen` -- :func:`run_loadgen`, an **open-loop**
   multi-client load generator: it honours each
-  :class:`~repro.datasets.requests.RequestEvent`'s ``arrival`` timestamp at
+  :class:`~repro.datasets.requests.ServiceRequest`'s ``arrival`` timestamp at
   a configurable rate multiplier (requests fire on schedule whether or not
   earlier ones completed), so queueing collapse shows up as growing latency
   and shed responses instead of being hidden by closed-loop replay.

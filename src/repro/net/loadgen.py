@@ -2,7 +2,7 @@
 
 :meth:`~repro.service.MaxRSService.serve_trace` replays traces
 *closed-loop*: each window waits for the previous one, so the
-``RequestEvent.arrival`` timestamps the generator emits are discarded and
+``ServiceRequest.arrival`` timestamps the generator emits are ignored and
 queueing collapse is invisible -- an overloaded server just makes the
 replay take longer.  This module replays them **open-loop**: request ``i``
 is sent at ``arrival_i / speedup`` seconds after the run starts *whether or
@@ -38,9 +38,9 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
-from ..datasets.requests import RequestEvent, RequestTrace
+from ..datasets.requests import ServiceRequest
 from ..obs.metrics import Histogram
 from .protocol import RemoteResponse, encode_request, response_from_dict
 
@@ -52,7 +52,7 @@ class LoadgenRecord:
     """One replayed request's outcome.
 
     ``scheduled`` is the open-loop send time (seconds from run start, the
-    event's arrival divided by the speedup); ``latency`` runs from that
+    request's arrival divided by the speedup); ``latency`` runs from that
     scheduled time to the response -- it includes any client-side backlog,
     so falling behind schedule is measured, not hidden.
     """
@@ -144,7 +144,7 @@ class LoadgenReport:
 def run_loadgen(
     host: str,
     port: int,
-    trace: Union[RequestTrace, Sequence[RequestEvent]],
+    trace: Sequence[ServiceRequest],
     *,
     speedup: float = 1.0,
     clients: int = 8,
@@ -175,14 +175,14 @@ def run_loadgen(
         raise ValueError("clients must be >= 1")
     if timeout <= 0:
         raise ValueError("timeout must be positive")
-    events = list(trace)
-    if not events:
+    requests = list(trace)
+    if not requests:
         raise ValueError("the trace must carry at least one request")
-    return asyncio.run(_replay(host, port, events, speedup=speedup,
+    return asyncio.run(_replay(host, port, requests, speedup=speedup,
                                clients=clients, timeout=timeout))
 
 
-async def _replay(host: str, port: int, events: List[RequestEvent], *,
+async def _replay(host: str, port: int, requests: List[ServiceRequest], *,
                   speedup: float, clients: int,
                   timeout: float) -> LoadgenReport:
     loop = asyncio.get_running_loop()
@@ -192,12 +192,12 @@ async def _replay(host: str, port: int, events: List[RequestEvent], *,
     pool: "asyncio.Queue" = asyncio.Queue(maxsize=clients)
     started = loop.time()
     tasks = []
-    for index, event in enumerate(events):
-        record = LoadgenRecord(index=index, kind=event.kind,
-                               scheduled=event.arrival / speedup)
+    for index, request in enumerate(requests):
+        record = LoadgenRecord(index=index, kind=request.kind,
+                               scheduled=request.arrival / speedup)
         records.append(record)
         tasks.append(asyncio.ensure_future(
-            _fire(host, port, event, record, pool,
+            _fire(host, port, request, record, pool,
                   started=started, timeout=timeout)))
     await asyncio.gather(*tasks)
     elapsed = loop.time() - started
@@ -211,14 +211,14 @@ async def _replay(host: str, port: int, events: List[RequestEvent], *,
     for record in records:
         if record.ok:
             latencies.observe(record.latency)
-    horizon = max(event.arrival for event in events) / speedup
+    horizon = max(request.arrival for request in requests) / speedup
     offered = len(records) / horizon if horizon > 0 else float("inf")
     return LoadgenReport(records=records, elapsed=elapsed, speedup=speedup,
                          clients=clients, offered_rate=offered,
                          latencies=latencies)
 
 
-async def _fire(host: str, port: int, event: RequestEvent,
+async def _fire(host: str, port: int, request: ServiceRequest,
                 record: LoadgenRecord, pool: "asyncio.Queue", *,
                 started: float, timeout: float) -> None:
     """Send one request at its scheduled time, whatever else is in flight."""
@@ -235,7 +235,7 @@ async def _fire(host: str, port: int, event: RequestEvent,
             reader, writer = await asyncio.wait_for(
                 asyncio.open_connection(host, port), timeout)
         status, payload = await asyncio.wait_for(
-            _exchange(reader, writer, host, event), timeout)
+            _exchange(reader, writer, host, request), timeout)
         record.status = status
         record.response = response_from_dict(payload, status=status)
         try:
@@ -262,8 +262,8 @@ async def _close_connection(writer: asyncio.StreamWriter) -> None:
 
 
 async def _exchange(reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
-                    host: str, event: RequestEvent):
-    body = encode_request(event)
+                    host: str, request: ServiceRequest):
+    body = encode_request(request)
     head = ("POST /v1/request HTTP/1.1\r\n"
             "Host: %s\r\n"
             "Content-Type: application/json\r\n"

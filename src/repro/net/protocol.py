@@ -1,10 +1,12 @@
 """The wire codec of the network front end.
 
-One schema, three uses: the JSONL lines :func:`repro.datasets.save_trace`
-writes, the request bodies :class:`repro.net.server.MaxRSServer` accepts,
-and the requests :func:`repro.net.loadgen.run_loadgen` replays are all the
-same JSON object (:func:`repro.datasets.requests.request_to_dict`).  This
-module adds the *response* half -- how a
+One type, one schema, three uses: the JSONL lines
+:func:`repro.datasets.save_trace` writes, the request bodies
+:class:`repro.net.server.MaxRSServer` accepts, and the requests
+:func:`repro.net.loadgen.run_loadgen` replays are all the same JSON object
+(:func:`repro.datasets.requests.request_to_dict`) of the same
+:class:`~repro.datasets.requests.ServiceRequest`, and a decoded body is
+served as it is.  This module adds the *response* half -- how a
 :class:`~repro.service.requests.ServiceResponse` travels back over the
 socket -- plus the result encoding both directions share.
 
@@ -21,8 +23,8 @@ Responses are JSON objects of the shape::
 -- exceptions do not cross the wire, their identity does.  The HTTP status
 stays 200 for served-with-error responses (the per-response error contract
 of :meth:`~repro.service.MaxRSService.serve`); non-200 statuses are
-transport-level outcomes: 400 (undecodable request), 503 (shed by the
-admission queue), 404/405 (bad route).
+transport-level outcomes: 400 (a body that does not decode to a valid
+request), 503 (shed by the admission queue), 404/405 (bad route).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Dict, Optional
 
 from ..core.result import MaxRSResult
 from ..datasets.requests import (
-    RequestEvent,
+    ServiceRequest,
     _query_to_dict,
     request_from_dict,
     request_to_dict,
@@ -51,17 +53,18 @@ __all__ = [
 ]
 
 
-def encode_request(request: RequestEvent) -> bytes:
+def encode_request(request: ServiceRequest) -> bytes:
     """One request as its wire body: the UTF-8 JSON of the trace schema."""
     return json.dumps(request_to_dict(request)).encode("utf-8")
 
 
-def decode_request(body: bytes) -> RequestEvent:
-    """Parse a wire body back into a :class:`RequestEvent`.
+def decode_request(body: bytes) -> ServiceRequest:
+    """Parse a wire body back into a :class:`ServiceRequest`.
 
     Raises ``ValueError`` on anything malformed -- bad JSON, a non-object
-    payload, unknown kinds or query fields -- so the server can turn the
-    failure into a 400 without guessing what the client meant.
+    payload, unknown kinds or query fields, a non-string ``name``, an
+    ``arrival`` that is not a finite number >= 0 -- so the server can turn
+    the failure into a 400 without guessing what the client meant.
     """
     try:
         record = json.loads(body.decode("utf-8"))

@@ -7,8 +7,9 @@ core, and owns the only request queue on the path:
    HTTP/1.1 (keep-alive, ``Content-Length`` framing; no chunked encoding,
    no TLS -- this is a serving-experiment harness, not an edge proxy);
 2. **decode** -- ``POST /v1/request`` bodies are the trace-line schema
-   (:func:`repro.net.protocol.decode_request`); malformed bodies get a 400
-   without touching the service;
+   (:func:`repro.net.protocol.decode_request`), and the decoded
+   :class:`~repro.service.ServiceRequest` is admitted as it is; malformed
+   bodies get a 400 without touching the service;
 3. **admit or shed** -- decoded requests enter a **bounded** admission
    queue (``max_pending``).  A full queue answers 503 immediately -- the
    open-loop overload answer: the queue cannot grow without bound, clients
@@ -50,7 +51,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..obs import tracing as obs
 from ..obs.metrics import MetricsRegistry
-from ..service.requests import ServiceRequest
 from ..service.server import MaxRSService
 from .protocol import decode_request, response_to_dict
 
@@ -375,7 +375,7 @@ class MaxRSServer:
     async def _serve_request(self, body: bytes):
         with obs.span("net.decode", bytes=len(body)):
             try:
-                event = decode_request(body)
+                request = decode_request(body)
             except ValueError as exc:
                 self.metrics.counter("net.decode_errors").inc()
                 return 400, {"ok": False, "served_from": "error",
@@ -383,7 +383,6 @@ class MaxRSServer:
                                        "message": str(exc)}}
         if self._closing:
             return self._shed("server is shutting down")
-        request = ServiceRequest.from_trace(event)
         future = self._loop.create_future()
         try:
             self._admission.put_nowait((request, future))

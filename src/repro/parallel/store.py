@@ -190,11 +190,10 @@ _SEGMENTS: Dict[str, shared_memory.SharedMemory] = {}
 _MATERIALIZED: "OrderedDict" = OrderedDict()
 _MATERIALIZED_POINTS = 0
 
-#: Point budget of the materialisation cache (``REPRO_SHM_CACHE_POINTS``
-#: overrides; ``0`` disables caching).  2M points is roughly 200 MB of
-#: tuple-list overhead in the worst case -- bounded, and far below what an
-#: unbounded cache would accumulate across sharding plans.
-_MATERIALIZED_BUDGET = int(os.environ.get("REPRO_SHM_CACHE_POINTS", 2_000_000))
+#: Point budget of the materialisation cache.  2M points is roughly 200 MB
+#: of tuple-list overhead in the worst case -- bounded, and far below what
+#: an unbounded cache would accumulate across sharding plans.
+_MATERIALIZED_BUDGET = 2_000_000
 
 
 def _materialized_put(key, resolved, population: int) -> None:

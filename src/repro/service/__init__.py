@@ -7,9 +7,12 @@ layer that faces *traffic* -- many clients issuing heterogeneous MaxRS
 requests concurrently against shared state -- and turns the machinery
 underneath into a serving system:
 
-* :mod:`repro.service.requests` -- the request/response vocabulary
-  (:class:`ServiceRequest`, :class:`ServiceResponse`): static dataset
-  queries, live-monitor hotspot reads, and monitor update batches;
+* :class:`ServiceRequest` -- the one request type, defined in
+  :mod:`repro.datasets.requests` so that a trace line, a wire body and a
+  served request are the same object: a static dataset query, a
+  live-monitor hotspot read, or a monitor update batch;
+* :mod:`repro.service.requests` -- :class:`ServiceResponse`, the answer
+  plus its per-request serving metrics;
 * :mod:`repro.service.batcher` -- micro-batch formation: flush windows are
   split into ordered serve / update groups (updates are barriers) and
   identical in-flight requests are coalesced onto one backend call;
@@ -40,10 +43,11 @@ Quickstart
 [2.0, 2.0, 2.0]
 """
 
+from ..datasets.requests import ServiceRequest
 from .batcher import Group, coalesce, form_groups
 from .cache import MISSING, TTLCache
 from .metrics import ServiceStats, percentile
-from .requests import ServiceRequest, ServiceResponse
+from .requests import ServiceResponse
 from .server import MaxRSService, TraceReport
 
 __all__ = [

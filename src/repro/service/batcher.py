@@ -12,7 +12,7 @@ Consecutive update requests merge into one
 :class:`~repro.streaming.base.StreamMonitor.apply_batch` call (their events
 concatenate in order); consecutive non-update requests form one *serve
 group*, inside which identical requests -- equal
-:attr:`~repro.service.requests.ServiceRequest.coalesce_key` -- are
+:attr:`~repro.datasets.requests.ServiceRequest.coalesce_key` -- are
 **coalesced**: the answer is computed once and fanned out to every waiter.
 All monitor reads of a serve group share a single monitor pass regardless of
 name, because one :meth:`current` call answers every standing query.
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Sequence, Tuple
 
-from .requests import ServiceRequest
+from ..datasets.requests import ServiceRequest
 
 __all__ = ["Group", "form_groups", "coalesce"]
 

@@ -1,81 +1,26 @@
-"""The service's request / response vocabulary.
+"""The service's response type.
 
-A :class:`ServiceRequest` is what clients hand the front end: a static MaxRS
-query (served from the dataset-bound :class:`~repro.engine.QueryEngine`), a
-hotspot read against the live stream monitor, or an update batch that
-mutates the monitor.  A :class:`ServiceResponse` pairs the answer with the
-per-request serving metrics -- how long the request waited for its batch,
-how big the batch was, which path served it -- that
+Requests are :class:`~repro.datasets.requests.ServiceRequest`, the one
+request type that a trace line, a wire body and a served request share: a
+static MaxRS query (served from the dataset-bound
+:class:`~repro.engine.QueryEngine`), a hotspot read against the live stream
+monitor, or an update batch that mutates the monitor.  A
+:class:`ServiceResponse` pairs the answer with the per-request serving
+metrics -- how long the request waited for its batch, how big the batch
+was, which path served it -- that
 :class:`~repro.service.metrics.ServiceStats` aggregates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..core.result import MaxRSResult
-from ..datasets.requests import RequestEvent
-from ..datasets.streams import UpdateEvent
+from ..datasets.requests import ServiceRequest
 from ..engine.planner import Query
 
-__all__ = ["ServiceRequest", "ServiceResponse"]
-
-
-@dataclass(frozen=True)
-class ServiceRequest:
-    """One request to the serving front end.
-
-    Use the named constructors: :meth:`static` for dataset queries,
-    :meth:`read` for live-monitor hotspot reads, :meth:`update` for stream
-    update batches.  Requests are frozen so identical static queries compare
-    equal -- which is what lets the batcher coalesce them in flight.
-    """
-
-    kind: str
-    query: Optional[Query] = None
-    name: Optional[str] = None
-    events: Tuple[UpdateEvent, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in ("query", "monitor", "update"):
-            raise ValueError("request kind must be 'query', 'monitor' or 'update'")
-        if self.kind == "query" and self.query is None:
-            raise ValueError("static query requests need a query")
-        if self.kind == "update" and not self.events:
-            raise ValueError("update requests need at least one stream event")
-
-    @staticmethod
-    def static(query: Query) -> "ServiceRequest":
-        """A static MaxRS query against the service's fixed dataset."""
-        return ServiceRequest(kind="query", query=query)
-
-    @staticmethod
-    def read(name: Optional[str] = None) -> "ServiceRequest":
-        """A hotspot read against the live monitor (``name`` selects one
-        standing query of a multi-query monitor)."""
-        return ServiceRequest(kind="monitor", name=name)
-
-    @staticmethod
-    def update(events) -> "ServiceRequest":
-        """An update batch: stream events applied to the live monitor."""
-        return ServiceRequest(kind="update", events=tuple(events))
-
-    @staticmethod
-    def from_trace(event: RequestEvent) -> "ServiceRequest":
-        """Convert one :class:`~repro.datasets.requests.RequestEvent`."""
-        return ServiceRequest(kind=event.kind, query=event.query,
-                              name=event.name, events=event.events)
-
-    @property
-    def coalesce_key(self):
-        """Requests with equal keys are satisfied by one answer (``None``
-        means the request is never coalesced -- updates mutate state)."""
-        if self.kind == "query":
-            return ("q", self.query)
-        if self.kind == "monitor":
-            return ("m", self.name)
-        return None
+__all__ = ["ServiceResponse"]
 
 
 @dataclass

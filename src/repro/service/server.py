@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from ..core.result import MaxRSResult
-from ..datasets.requests import RequestEvent, RequestTrace
+from ..datasets.requests import ServiceRequest
 from ..engine.executors import Executor
 from ..engine.planner import Query, QueryEngine
 from ..kernels import resolve_batch_backend
@@ -55,7 +55,7 @@ from ..streaming.base import StreamMonitor
 from .batcher import coalesce, form_groups
 from .cache import MISSING, TTLCache
 from .metrics import ServiceStats
-from .requests import ServiceRequest, ServiceResponse
+from .requests import ServiceResponse
 
 __all__ = ["MaxRSService", "TraceReport"]
 
@@ -221,33 +221,23 @@ class MaxRSService:
             raise response.error
         return response
 
-    def serve_trace(
-        self,
-        trace: Union[RequestTrace, Sequence[RequestEvent], Sequence[ServiceRequest]],
-        *,
-        window: int = 64,
-    ) -> TraceReport:
+    def serve_trace(self, trace: Sequence[ServiceRequest], *,
+                    window: int = 64) -> TraceReport:
         """Replay a request trace through the serving pipeline.
 
         The trace is walked in order and flushed in windows of up to
         ``window`` requests -- the deterministic stand-in for concurrent
         arrival: requests in one window are "in flight together" and
         eligible for coalescing and shared passes, while update barriers
-        inside a window still apply in order.
+        inside a window still apply in order.  Arrival times are ignored
+        (:func:`repro.net.run_loadgen` honours them).
         """
         if window < 1:
             raise ValueError("window must be >= 1")
         responses: List[ServiceResponse] = []
-        batch: List[ServiceRequest] = []
         started = self._clock()
-        for event in trace:
-            batch.append(ServiceRequest.from_trace(event)
-                         if isinstance(event, RequestEvent) else event)
-            if len(batch) >= window:
-                responses.extend(self.serve(batch))
-                batch = []
-        if batch:
-            responses.extend(self.serve(batch))
+        for start in range(0, len(trace), window):
+            responses.extend(self.serve(trace[start:start + window]))
         return TraceReport(responses=responses, elapsed=self._clock() - started)
 
     def serve(self, requests: Sequence[ServiceRequest]) -> List[ServiceResponse]:

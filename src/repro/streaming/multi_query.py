@@ -43,7 +43,8 @@ from ..core.result import MaxRSResult
 from ..datasets.streams import UpdateEvent
 from ..engine.executors import Executor, get_executor
 from ..engine.merge import merge_shard_results
-from ..engine.planner import Query, resolve_task_backend, solve_query
+from ..engine.planner import Query, solve_query
+from ..kernels import resolve_backend
 from ..obs import tracing as obs
 from ._shards import LiveShardStore
 from .base import StreamMonitor
@@ -113,7 +114,7 @@ class MultiQueryMonitor(StreamMonitor):
                     "rectangle queries are supported" % (name, query.describe())
                 )
             if query.backend != "auto":
-                resolve_task_backend(query.backend, 0)  # surface typos now
+                resolve_backend(query.backend, 0)  # surface typos now
         self.queries: Dict[str, Query] = dict(named)
         halos = [query.halo(2) for _, query in named]
         halo = (max(h[0] for h in halos), max(h[1] for h in halos))
@@ -282,7 +283,7 @@ class MultiQueryMonitor(StreamMonitor):
             for name, query in self.queries.items():
                 task_query = query
                 if query.backend == "auto":
-                    task_query = replace(query, backend=resolve_task_backend(
+                    task_query = replace(query, backend=resolve_backend(
                         "auto", len(coords), query.sweep_kernel))
                 tasks.append((name, key, task_query, coords, weights, color_list))
         with obs.trace("monitor.refresh", dirty=len(dirty),

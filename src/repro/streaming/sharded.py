@@ -26,7 +26,7 @@ Beyond the original event-at-a-time interface the monitor is a full
 * **kernel-registry backends** -- ``backend="auto" | "python" | "numpy"``
   selects the sweep implementation, with ``"auto"`` resolved per sweep call
   against the total points of the tiles it solves, on the disk sweep's
-  threshold (:func:`repro.engine.planner.resolve_task_backend`);
+  threshold (:func:`repro.kernels.resolve_backend`);
 * **pluggable executors** -- ``executor="shared-process"`` splits the
   dirty tiles of one query into one group per worker and solves each
   group in one segmented call on an engine executor;
@@ -50,8 +50,8 @@ from ..core.result import MaxRSResult
 from ..datasets.streams import UpdateEvent
 from ..engine.executors import Executor, get_executor
 from ..engine.merge import merge_shard_results
-from ..engine.planner import resolve_task_backend
 from ..exact.disk2d import maxrs_disk_exact_segments
+from ..kernels import resolve_backend
 from ..obs import tracing as obs
 from ._shards import LiveShardStore
 from .base import StreamMonitor
@@ -142,7 +142,7 @@ class ShardedMaxRSMonitor(StreamMonitor):
         side = 4.0 * self.radius if tile_side is None else float(tile_side)
         self.tile_side = max(side, 2.0 * self.radius)
         if backend != "auto":
-            resolve_task_backend(backend, 0)  # surface typos at construction
+            resolve_backend(backend, 0)  # surface typos at construction
         self.backend = backend
         self.window = int(window) if window is not None else None
         self.time_window = float(time_window) if time_window is not None else None
@@ -403,7 +403,7 @@ class ShardedMaxRSMonitor(StreamMonitor):
         offsets = list(accumulate(map(len, shards), initial=0))
         points, weights, _ = zip(*chain.from_iterable(
             shard.values() for shard in shards))
-        backend = resolve_task_backend(self.backend, offsets[-1], "disk_sweep")
+        backend = resolve_backend(self.backend, offsets[-1], "disk_sweep")
         if backend == "numpy":
             coords = np.fromiter(chain.from_iterable(points), float, 2 * len(points))
             return (coords.reshape(-1, 2), np.fromiter(weights, float, len(weights)),

@@ -451,7 +451,7 @@ class TestRegistry:
         assert kernels.resolve_backend("auto", 1, "probe_depths") == "numpy"
 
     def test_disk_sweep_threshold_reaches_engine_tasks(self, monkeypatch):
-        from repro.engine import Query, resolve_task_backend
+        from repro.engine import Query
         from repro.engine.planner import _array_inputs
 
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
@@ -466,7 +466,6 @@ class TestRegistry:
         assert Query.interval(1.0).sweep_kernel == "interval_sweep"
         assert Query.colored_rectangle(1.0, 1.0).sweep_kernel is None
         assert Query.colored_disk(1.0).sweep_kernel is None
-        assert resolve_task_backend("auto", disk, "disk_sweep") == "numpy"
         assert _array_inputs(Query.disk(1.0), disk)
         assert not _array_inputs(Query.rectangle(1.0, 1.0), disk)
 

@@ -171,6 +171,13 @@ class TestCli:
         csv_path.write_text("x1,x2\n")
         assert main(["solve", "disk", "--input", str(csv_path)]) == 2
 
+    def test_solve_bad_radius_exits_2_without_traceback(self, tmp_path, capsys):
+        csv_path = str(tmp_path / "pts.csv")
+        write_points_csv(csv_path, [(0.0, 0.0), (1.0, 1.0)])
+        assert main(["solve", "disk", "--input", csv_path, "--radius", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "radius" in err and "Traceback" not in err
+
     def test_solve_ball_approx_and_rectangle(self, tmp_path, capsys):
         csv_path = str(tmp_path / "hotspot.csv")
         assert main(["generate", "hotspot", "--output", csv_path,
@@ -248,6 +255,19 @@ class TestCliServe:
         csv_path = tmp_path / "empty.csv"
         csv_path.write_text("x1,x2\n")
         assert main(["serve", "--input", str(csv_path), "--requests", "10"]) == 2
+
+    @pytest.mark.parametrize("line", [
+        '{"kind": "monitor", "arrival": "soon"}',
+        '{"kind": "query", "query": 5}',
+    ])
+    def test_replay_rejects_a_malformed_trace_line(self, tmp_path, capsys, line):
+        # loadgen refuses the trace before it attempts any connection.
+        trace_path = tmp_path / "bad.jsonl"
+        trace_path.write_text(line + "\n")
+        assert main(["loadgen", "--connect", "127.0.0.1:1",
+                     "--replay", str(trace_path)]) == 2
+        assert main(["serve", "--n", "20", "--replay", str(trace_path)]) == 2
+        assert capsys.readouterr().err.count("cannot load trace") == 2
 
 
 class TestCliShardedEngine:

@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.result import MaxRSResult
 from repro.datasets import (
-    RequestEvent,
+    ServiceRequest,
     default_query_catalog,
     request_trace,
     uniform_points,
@@ -48,15 +48,15 @@ POINTS = uniform_points(200, seed=9)
 
 class TestProtocol:
     def test_request_round_trip_query(self):
-        event = RequestEvent(kind="query", arrival=1.25,
-                             query=Query.rectangle(1.5, 2.0, backend="numpy"))
+        event = ServiceRequest(kind="query", arrival=1.25,
+                               query=Query.rectangle(1.5, 2.0, backend="numpy"))
         decoded = decode_request(encode_request(event))
         assert decoded.kind == "query"
         assert decoded.arrival == event.arrival
         assert decoded.query == event.query
 
     def test_request_round_trip_update(self):
-        event = RequestEvent(kind="update", arrival=0.5, events=(
+        event = ServiceRequest(kind="update", arrival=0.5, events=(
             UpdateEvent(kind="insert", point=(0.5, 0.25), weight=2.0),
             UpdateEvent(kind="delete", target=0)))
         decoded = decode_request(encode_request(event))
@@ -69,6 +69,12 @@ class TestProtocol:
         b'"a string"',
         b'{"kind": "no-such-kind", "arrival": 0.0}',
         b'{"arrival": 0.0}',
+        b'{"kind": "monitor", "name": ["x"]}',
+        b'{"kind": "monitor", "name": 7}',
+        b'{"kind": "monitor", "arrival": "soon"}',
+        b'{"kind": "monitor", "arrival": NaN}',
+        b'{"kind": "monitor", "arrival": -1.0}',
+        b'{"kind": "monitor", "arrival": true}',
     ])
     def test_decode_rejects_malformed_bodies(self, body):
         with pytest.raises(ValueError):
@@ -160,7 +166,7 @@ class TestServer:
         from repro.engine.planner import solve_query
 
         query = Query.rectangle(1.0, 1.0, backend="numpy")
-        event = RequestEvent(kind="query", arrival=0.0, query=query)
+        event = ServiceRequest(kind="query", arrival=0.0, query=query)
         status, payload = _post(live_server, "/v1/request",
                                 encode_request(event))
         assert status == 200
@@ -174,6 +180,17 @@ class TestServer:
         assert payload["error"]["type"] == "ValueError"
         metrics = live_server.snapshot()["server"]["metrics"]
         assert metrics["net.decode_errors"]["value"] == 1
+
+    def test_malformed_name_is_a_400_not_a_failed_window(self, live_server):
+        # An unhashable name must be refused at decoding: past it,
+        # coalescing would fail the whole serving window with a 500.
+        status, payload = _post(live_server, "/v1/request",
+                                b'{"kind": "monitor", "name": ["x"]}')
+        assert status == 400
+        assert payload["error"]["type"] == "ValueError"
+        metrics = live_server.snapshot()["server"]["metrics"]
+        assert metrics["net.decode_errors"]["value"] == 1
+        assert metrics.get("net.admitted", {"value": 0})["value"] == 0
 
     def test_unknown_path_404_and_wrong_method_405(self, live_server):
         status, _ = _get(live_server, "/v1/nope")
@@ -191,7 +208,7 @@ class TestServer:
 
     def test_keep_alive_serves_many_requests_per_connection(self, live_server):
         query = Query.rectangle(1.0, 1.0, backend="numpy")
-        event = RequestEvent(kind="query", arrival=0.0, query=query)
+        event = ServiceRequest(kind="query", arrival=0.0, query=query)
         connection = http.client.HTTPConnection(live_server.host,
                                                 live_server.port, timeout=30)
         try:
@@ -271,8 +288,8 @@ class TestServer:
         monkeypatch.setattr(service, "serve", blocked_serve)
         server = MaxRSServer(service, max_pending=8)
         server.start_in_thread()
-        event = RequestEvent(kind="query", arrival=0.0,
-                             query=Query.rectangle(1.0, 1.0))
+        event = ServiceRequest(kind="query", arrival=0.0,
+                               query=Query.rectangle(1.0, 1.0))
         body = encode_request(event)
         client = socket.create_connection((server.host, server.port),
                                           timeout=30)

@@ -15,11 +15,12 @@ import time
 import pytest
 
 from repro.datasets import (
-    RequestEvent,
     clustered_points,
     load_trace,
+    request_to_dict,
     request_trace,
     save_trace,
+    trace_counts,
 )
 from repro.datasets.streams import UpdateEvent
 from repro.engine import Query, QueryEngine
@@ -212,9 +213,41 @@ class TestServiceRequest:
             ServiceRequest(kind="update")
 
     def test_trace_conversion(self):
-        event = RequestEvent(kind="query", query=Query.disk(1.0), arrival=2.5)
-        request = ServiceRequest.from_trace(event)
-        assert request.kind == "query" and request.query == Query.disk(1.0)
+        # A trace line is served as it is, and its arrival time does not
+        # keep it from coalescing with the same query.
+        event = ServiceRequest(kind="query", query=Query.disk(1.0), arrival=2.5)
+        static = ServiceRequest.static(Query.disk(1.0))
+        assert event != static
+        assert event.coalesce_key == static.coalesce_key
+        with MaxRSService(POINTS) as service:
+            report = service.serve_trace([event, static])
+        first, second = report.responses
+        assert first.request is event and first.ok
+        assert second.request is static and second.ok
+        assert second.served_from == "coalesced"
+        assert second.result is first.result
+
+    def test_request_schema_is_pinned(self):
+        # The trace-line and wire-body schema: perfbench request records
+        # and recorded .jsonl traces depend on it byte for byte.
+        rectangle = Query.rectangle(1.5, 2.0, backend="numpy")
+        assert request_to_dict(ServiceRequest.static(rectangle)) == {
+            "kind": "query", "arrival": 0.0,
+            "query": {"shape": "rectangle", "exact": True, "colored": False,
+                      "width": 1.5, "height": 2.0, "backend": "numpy",
+                      "family": "single"}}
+        assert request_to_dict(ServiceRequest.read()) == {
+            "kind": "monitor", "arrival": 0.0}
+        assert request_to_dict(ServiceRequest.read("ops")) == {
+            "kind": "monitor", "arrival": 0.0, "name": "ops"}
+        assert request_to_dict(ServiceRequest.update([
+            UpdateEvent(kind="insert", point=(0.5, 0.25), weight=2.0),
+            UpdateEvent(kind="delete", target=0)])) == {
+            "kind": "update", "arrival": 0.0,
+            "events": [{"kind": "insert", "point": (0.5, 0.25), "weight": 2.0},
+                       {"kind": "delete", "weight": 1.0, "target": 0}]}
+        assert request_to_dict(ServiceRequest(kind="monitor", arrival=2.5)) == {
+            "kind": "monitor", "arrival": 2.5}
 
 
 # --------------------------------------------------------------------------- #
@@ -528,11 +561,18 @@ class TestTraceReplay:
         save_trace(path, trace)
         loaded = load_trace(path)
         assert len(loaded) == len(trace)
-        assert loaded.counts == trace.counts
+        assert trace_counts(loaded) == trace_counts(trace)
         for a, b in zip(trace, loaded):
             assert (a.kind, a.query, a.name, a.events) == (
                 b.kind, b.query, b.name, b.events)
             assert a.arrival == pytest.approx(b.arrival)
+
+    def test_wire_body_is_the_saved_trace_line(self, tmp_path):
+        trace = request_trace(40, seed=4, monitor_fraction=0.3, update_every=10)
+        path = tmp_path / "trace.jsonl"
+        save_trace(str(path), trace)
+        assert path.read_bytes().splitlines() == [
+            encode_request(request) for request in trace]
 
     def test_trace_generator_validation(self):
         with pytest.raises(ValueError):
@@ -554,7 +594,7 @@ class TestTraceReplay:
 
 
 def _query_body(query):
-    return encode_request(RequestEvent(kind="query", arrival=0.0, query=query))
+    return encode_request(ServiceRequest.static(query))
 
 
 def _post(server, body):
@@ -687,7 +727,7 @@ class TestThreadedFrontEnd:
             server = MaxRSServer(service, max_pending=8)
             gate = service.serve = _GatedServe(service)
             server.start_in_thread()
-            event = RequestEvent(kind="query", arrival=0.0, query=Query.disk(1.0))
+            event = ServiceRequest.static(Query.disk(1.0))
             try:
                 started = time.monotonic()
                 report = run_loadgen(server.host, server.port, [event],
